@@ -5,14 +5,16 @@ bits a_n; it is supported on [0, 1/(beta-1)] and satisfies the
 self-similarity mu(E) = (mu(beta E) + mu(beta E - 1)) / 2.  Two estimators
 are provided that serve as one another's oracle:
 
-* a bracketed self-similarity recursion whose unresolved leaves contribute
-  [0, 1] rather than a point guess (the measure can be singular, so a point
-  estimate without a bracket is meaningless), and
+* the self-similarity unrolled to depth d (method ``"recursion"``): the
+  points whose first d digits sum to S carry mass 2^-d and lie in the
+  cylinder [S, S + beta^-d/(beta-1)], so the shares of cylinders inside and
+  meeting an interval bracket its measure (the measure can be singular, so
+  a point estimate without a bracket is meaningless), and
 * a seeded Monte Carlo estimate over depth-truncated digit sums.
 
-Both run in double precision: interval endpoints here are never iterated
-more than the recursion depth (capped at 48) and the truncation windows
-dominate the float rounding error.
+Both run in double precision: no orbit is iterated, the depth is capped at
+48, and the cylinder and truncation widths dominate the float rounding
+error.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ import numpy as np
 
 from .errors import DepthExceeded, InvalidPoint
 from .numeric import BetaContext
+from .prefixes import _count_in_windows
 
 MAX_DEPTH = 48
-_MEMO_SCALE = 2.0 ** 48  # endpoint rounding grid for memo keys
 _MC_CHUNK = 1 << 19
 
 METHOD_RECURSION = "recursion"
@@ -70,48 +72,76 @@ class LocalDimEstimate:
     unstable: bool
 
 
-def measure_interval(ctx: BetaContext, lo, hi, depth: int) -> MeasureEstimate:
-    """Self-similarity recursion for mu([lo, hi]) with midpoint value and
-    half-width from the unresolved leaves.
+def _sampled_estimates(beta: float, intervals, depth: int, samples: int,
+                       seed: int) -> list:
+    """Monte Carlo brackets of mu([lo, hi]) for each interval (see
+    ``measure_monte_carlo``), all from one seeded set of digit sums drawn
+    in chunks of ``_MC_CHUNK``."""
+    powers = beta ** -np.arange(1, depth + 1)
+    rng = np.random.default_rng(seed)
+    tail = beta ** -depth / (beta - 1.0)
+    outer_hits = [0] * len(intervals)
+    inner_hits = [0] * len(intervals)
+    for start in range(0, samples, _MC_CHUNK):
+        n = min(_MC_CHUNK, samples - start)
+        vals = rng.integers(0, 2, size=(n, depth), dtype=np.uint8) @ powers
+        for i, (lo, hi) in enumerate(intervals):
+            outer_hits[i] += int(((vals >= lo - tail) & (vals <= hi + tail)).sum())
+            inner_hits[i] += int(((vals >= lo + tail) & (vals <= hi - tail)).sum())
+    estimates = []
+    for (lo, hi), o_hits, i_hits in zip(intervals, outer_hits, inner_hits):
+        outer, inner = o_hits / samples, i_hits / samples
+        estimates.append(MeasureEstimate(
+            interval=(lo, hi), value=(outer + inner) / 2.0,
+            half_width=(outer - inner) / 2.0 + _three_sigma(outer, samples),
+            depth=depth, method=METHOD_MONTE_CARLO, seed=seed, samples=samples))
+    return estimates
 
-    At each level the interval is clipped to the support; a clipped interval
-    covering the whole support scores 1, an empty one 0, and a leaf at depth
-    0 contributes the bracket [0, 1].  Memoisation keys round endpoints to
-    the 2^-48 grid.
-    """
+
+def _count_estimates(ctx: BetaContext, intervals, depth: int) -> list:
+    """Cylinder-count brackets of mu([lo, hi]) for each interval (see
+    ``measure_interval``), from one half-split count over all of them."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth > MAX_DEPTH:
         raise DepthExceeded(f"recursion depth {depth} above cap {MAX_DEPTH}")
+    if any(hi < lo for lo, hi in intervals):
+        raise ValueError("interval endpoints out of order")
     beta = float(ctx.beta)
     ub = float(ctx.one_over_beta_minus_one)
-    lo_f, hi_f = float(lo), float(hi)
-    if hi_f < lo_f:
-        raise ValueError("interval endpoints out of order")
-    memo: dict = {}
+    w = beta ** -depth / (beta - 1.0)  # cylinder width
+    settled, windows = [], []
+    for lo, hi in intervals:
+        if hi <= 0.0 or lo >= ub:
+            settled.append(0.0)  # off the support
+        elif lo <= 0.0 and hi >= ub:
+            settled.append(1.0)  # over the support
+        else:  # count the cylinders inside it, then those meeting it
+            settled.append(None)
+            windows += [(lo, hi - w), (lo - w, hi)]
+    counts = iter(_count_in_windows(beta, depth, windows))
+    estimates = []
+    for (lo, hi), v in zip(intervals, settled):
+        if v is None:
+            low, high = next(counts) * 2.0 ** -depth, next(counts) * 2.0 ** -depth
+        else:
+            low = high = v
+        estimates.append(MeasureEstimate(
+            interval=(lo, hi), value=(low + high) / 2.0,
+            half_width=(high - low) / 2.0, depth=depth, method=METHOD_RECURSION))
+    return estimates
 
-    def rec(a: float, b: float, d: int):
-        if b <= 0.0 or a >= ub:
-            return 0.0, 0.0
-        a = max(a, 0.0)
-        b = min(b, ub)
-        if a <= 0.0 and b >= ub:
-            return 1.0, 1.0
-        if d == 0:
-            return 0.0, 1.0
-        key = (round(a * _MEMO_SCALE), round(b * _MEMO_SCALE), d)
-        got = memo.get(key)
-        if got is None:
-            l0, h0 = rec(beta * a, beta * b, d - 1)
-            l1, h1 = rec(beta * a - 1.0, beta * b - 1.0, d - 1)
-            got = ((l0 + l1) / 2.0, (h0 + h1) / 2.0)
-            memo[key] = got
-        return got
 
-    low, high = rec(lo_f, hi_f, depth)
-    return MeasureEstimate(interval=(lo_f, hi_f), value=(low + high) / 2.0,
-                           half_width=(high - low) / 2.0, depth=depth,
-                           method=METHOD_RECURSION)
+def measure_interval(ctx: BetaContext, lo, hi, depth: int) -> MeasureEstimate:
+    """Bracket of mu([lo, hi]) from the depth-``depth`` cylinders, with
+    midpoint value and half-width.
+
+    The lower bound is the share of cylinders [S, S + beta^-depth/(beta-1)]
+    inside [lo, hi], the upper bound the share meeting it; the window
+    counter of ``betaprefix.prefixes`` counts both exactly.  An interval
+    disjoint from the support scores exactly 0 and one covering it exactly 1.
+    """
+    return _count_estimates(ctx, [(float(lo), float(hi))], depth)[0]
 
 
 def measure_monte_carlo(ctx: BetaContext, lo, hi, samples: int, depth: int,
@@ -143,36 +173,21 @@ def measure_monte_carlo(ctx: BetaContext, lo, hi, samples: int, depth: int,
         return MeasureEstimate(interval=(lo_f, hi_f), value=0.0, half_width=0.0,
                                depth=depth, method=METHOD_MONTE_CARLO,
                                seed=seed, samples=samples)
-    tail = beta ** -depth / (beta - 1.0)
-    powers = beta ** -np.arange(1, depth + 1)
-    rng = np.random.default_rng(seed)
-    outer_hits = 0
-    inner_hits = 0
-    remaining = samples
-    while remaining > 0:
-        n = min(remaining, _MC_CHUNK)
-        bits = rng.integers(0, 2, size=(n, depth), dtype=np.uint8)
-        vals = bits @ powers
-        outer_hits += int(((vals >= lo_f - tail) & (vals <= hi_f + tail)).sum())
-        inner_hits += int(((vals >= lo_f + tail) & (vals <= hi_f - tail)).sum())
-        remaining -= n
-    outer = outer_hits / samples
-    inner = inner_hits / samples
-    return MeasureEstimate(interval=(lo_f, hi_f), value=(outer + inner) / 2.0,
-                           half_width=(outer - inner) / 2.0 + _three_sigma(outer, samples),
-                           depth=depth, method=METHOD_MONTE_CARLO,
-                           seed=seed, samples=samples)
+    return _sampled_estimates(beta, [(lo_f, hi_f)], depth, samples, seed)[0]
 
 
 def local_dimension(ctx: BetaContext, x, k_min: int, k_max: int,
                     method: str = METHOD_MONTE_CARLO, depth: Optional[int] = None,
                     samples: int = 1 << 21, seed: int = 0) -> LocalDimEstimate:
     """Slope estimates of log mu([x-r, x+r]) / log r over radii r = beta^-k
-    for k in [k_min, k_max]."""
+    for k in [k_min, k_max]; one sample set or one half-split count serves
+    every radius."""
     if k_min < 1 or k_max < k_min:
         raise ValueError("need 1 <= k_min <= k_max")
     if method not in (METHOD_RECURSION, METHOD_MONTE_CARLO):
         raise ValueError(f"unknown method {method!r}")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     beta = float(ctx.beta)
     ub = float(ctx.one_over_beta_minus_one)
     xf = float(x)
@@ -181,34 +196,12 @@ def local_dimension(ctx: BetaContext, x, k_min: int, k_max: int,
     if depth is None:
         depth = min(MAX_DEPTH, k_max + 22)
     ks = tuple(range(k_min, k_max + 1))
-    estimates = []
-    if method == METHOD_MONTE_CARLO:
-        # one sample set serves every radius; estimates share the seed
-        powers = beta ** -np.arange(1, depth + 1)
-        rng = np.random.default_rng(seed)
-        chunks = []
-        remaining = samples
-        while remaining > 0:
-            n = min(remaining, _MC_CHUNK)
-            bits = rng.integers(0, 2, size=(n, depth), dtype=np.uint8)
-            chunks.append(bits @ powers)
-            remaining -= n
-        vals = np.concatenate(chunks)
-        tail = beta ** -depth / (beta - 1.0)
-        for k in ks:
-            r = beta ** -k
-            outer = float(((vals >= xf - r - tail) & (vals <= xf + r + tail)).mean())
-            inner = float(((vals >= xf - r + tail) & (vals <= xf + r - tail)).mean())
-            estimates.append(MeasureEstimate(
-                interval=(xf - r, xf + r), value=(outer + inner) / 2.0,
-                half_width=(outer - inner) / 2.0 + _three_sigma(outer, samples),
-                depth=depth, method=METHOD_MONTE_CARLO, seed=seed,
-                samples=samples))
-    else:
-        for k in ks:
-            r = beta ** -k
-            estimates.append(measure_interval(ctx, xf - r, xf + r, depth))
     radii = tuple(beta ** -k for k in ks)
+    balls = [(xf - r, xf + r) for r in radii]
+    if method == METHOD_MONTE_CARLO:
+        estimates = _sampled_estimates(beta, balls, depth, samples, seed)
+    else:
+        estimates = _count_estimates(ctx, balls, depth)
     log_measures = tuple(math.log(max(e.value, 1e-300)) for e in estimates)
     window_start = k_max - max(1, (k_max - k_min + 1) // 3) + 1
     window = [(k, e) for k, e in zip(ks, estimates) if k >= window_start]

@@ -273,7 +273,9 @@ def cmd_bernoulli(args) -> int:
     ctx = BetaContext(parse_scalar(args.beta, args.precision_bits),
                       args.precision_bits, args.tolerance)
     x = parse_scalar(args.x, args.precision_bits)
-    k_min, _, k_max = args.radii.partition(":")
+    k_min, sep, k_max = args.radii.partition(":")
+    if not sep:
+        raise ValueError(f"--radii {args.radii!r}: expected KMIN:KMAX, e.g. 8:14")
     est = bl.local_dimension(ctx, x, int(k_min), int(k_max),
                              method=args.method, depth=args.depth,
                              samples=args.samples, seed=args.seed)

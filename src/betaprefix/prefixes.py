@@ -14,7 +14,9 @@ the other's oracle:
   partial-sum window with no pruning logic at all;
 * ``count_prefixes_window`` counts the same window by a half-split
   (meet-in-the-middle) sum over float64 arrays, which makes counts at
-  depths far beyond any materialisable enumeration cheap.
+  depths far beyond any materialisable enumeration cheap.  Its kernel,
+  ``_count_in_windows``, also counts the cylinders behind the measure
+  brackets of ``betaprefix.bernoulli``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .numeric import BetaContext, apply_word
 DEFAULT_SURVIVOR_CAP = 10_000_000
 DIRECT_K_CAP = 24
 WINDOW_K_CAP = 44  # half arrays hold 2^(k/2) float64 entries
+_CHUNK_BITS = 16  # a window count streams at most 2^16 head sums at a time
 _REFRESH_LEVELS = 16  # closed-form value refresh cadence in the orbit tree
 
 
@@ -167,12 +170,50 @@ def count_prefixes(ctx: BetaContext, x, k: int,
     return enumerate_prefixes_branching(ctx, x, k, survivor_cap).count
 
 
+def _digit_sums(beta: float, first: int, last: int, start: float = 0.0) -> np.ndarray:
+    """``start`` plus the sums of beta^-j over all subsets of j in
+    [first, last], bit j - first of the index selecting digit j; terms are
+    added in increasing j."""
+    sums = np.empty(1 << (last - first + 1))
+    sums[0] = start
+    for j in range(first, last + 1):
+        m = 1 << (j - first)
+        np.add(sums[:m], beta ** -j, out=sums[m:2 * m])
+    return sums
+
+
+def _count_in_windows(beta: float, depth: int, windows) -> list:
+    """Number of depth-``depth`` partial sums sum e_n beta^-n in each closed
+    window ``(lo, hi)``; an empty window (hi < lo) counts 0.
+
+    Meet in the middle (Horowitz & Sahni 1974): the sums of the last
+    floor(depth/2) digits are sorted once; the sums of the first
+    ceil(depth/2) digits stream past them in chunks of at most 2^16, one
+    chunk per setting of the leading digits, so memory stays at one sorted
+    half plus a chunk.  Every sum adds its terms in increasing n, so its
+    float64 value does not depend on the chunking."""
+    if not windows:
+        return []
+    k1 = (depth + 1) // 2
+    tail = _digit_sums(beta, k1 + 1, depth)
+    tail.sort()
+    fixed = max(0, k1 - _CHUNK_BITS)  # leading digits fixed within a chunk
+    counts = [0] * len(windows)
+    for start in _digit_sums(beta, 1, fixed):
+        head = _digit_sums(beta, fixed + 1, k1, start)
+        for i, (lo, hi) in enumerate(windows):
+            if hi >= lo:
+                counts[i] += int((np.searchsorted(tail, hi - head, side="right")
+                                  - np.searchsorted(tail, lo - head, side="left")).sum())
+    return counts
+
+
 def count_prefixes_window(ctx: BetaContext, x, k: int) -> int:
     """Half-split window count of k-prefixes.
 
-    Splits the partial sum into first- and second-half digit sums (arrays
-    of size 2^ceil(k/2)), sorts one side and counts matches per element of
-    the other with vectorised binary search.  Runs in float64: for the
+    Counts the partial sums of depth k in the window
+    [x - beta^-k/(beta-1), x], widened by the comparison tolerance mapped
+    down by beta^-k, with ``_count_in_windows``.  Runs in float64: for the
     depths this package targets (k <= 44) the window width dominates the
     float rounding error by many orders of magnitude, and no orbit is ever
     iterated, so the double-precision caveat for long orbits does not
@@ -189,19 +230,9 @@ def count_prefixes_window(ctx: BetaContext, x, k: int) -> int:
         raise InvalidPoint(f"x={x} outside [0, 1/(beta-1)] beyond tolerance")
     if k == 0:
         return 1
-    k1 = (k + 1) // 2
-    a = np.zeros(1)
-    for j in range(1, k1 + 1):
-        a = np.concatenate([a, a + beta ** -j])
-    b = np.zeros(1)
-    for j in range(k1 + 1, k + 1):
-        b = np.concatenate([b, b + beta ** -j])
-    b.sort()
     width = beta ** -k / (beta - 1.0)
     tol_s = float(ctx.comparison_tolerance) * beta ** -k
-    hi_idx = np.searchsorted(b, (xf + tol_s) - a, side="right")
-    lo_idx = np.searchsorted(b, (xf - width - tol_s) - a, side="left")
-    return int((hi_idx - lo_idx).sum())
+    return _count_in_windows(beta, k, [(xf - width - tol_s, xf + tol_s)])[0]
 
 
 def growth_estimate(ctx: BetaContext, x, k_min: int, k_max: int) -> GrowthEstimate:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from betaprefix import (BetaContext, DepthExceeded, InvalidPoint,
@@ -13,6 +14,17 @@ MC_SAMPLES = 1 << 18
 
 def _combined(e1, e2):
     return e1.half_width + e2.half_width
+
+
+def _brute_bracket(beta, lo, hi, depth):
+    """Shares of the 2^depth cylinders [S, S + w] inside and meeting
+    [lo, hi], testing every digit word on its own."""
+    words = (np.arange(1 << depth)[:, None] >> np.arange(depth)) & 1
+    sums = words @ (beta ** -np.arange(1.0, depth + 1))
+    w = beta ** -depth / (beta - 1)
+    inside = int(((sums >= lo) & (sums + w <= hi)).sum())
+    meet = int(((sums <= hi) & (sums + w >= lo)).sum())
+    return inside / 2 ** depth, meet / 2 ** depth
 
 
 class TestShortCircuits:
@@ -40,6 +52,30 @@ class TestRecursion:
         assert est.value == pytest.approx(0.1054623, abs=2e-4)
         assert est.half_width < 1e-5
         assert est.method == METHOD_RECURSION
+
+    def test_bracket_equals_brute_force(self, rng):
+        balls = []
+        for beta in ("1.2", "1.5", "1.8"):
+            ub = float(BetaContext(beta).one_over_beta_minus_one)
+            for _ in range(8):
+                x = rng.uniform(0.0, ub)
+                r = rng.uniform(0.01, 0.3) * ub
+                balls.append((beta, x - r, x + r, rng.randint(6, 14)))
+        # balls on which a float self-similarity recursion, clipping its
+        # images to the support, left full cylinders unresolved and gave a
+        # lower bound below the true share (0 against 1/32 on the first)
+        balls += [("1.693817", 0.2260048340288393, 0.31069462706825113, 6),
+                  ("1.774514", 0.9330173088546966, 0.9444807531558029, 9),
+                  ("1.509725", 1.682743878825953, 1.7946219753110817, 8)]
+        for beta, lo, hi, depth in balls:
+            est = measure_interval(BetaContext(beta), lo, hi, depth)
+            got = (est.value - est.half_width, est.value + est.half_width)
+            assert got == _brute_bracket(float(beta), lo, hi, depth)
+
+    def test_ball_narrower_than_a_cylinder(self, ctx15):
+        # the inside window [lo, hi - w] is empty and must count 0
+        est = measure_interval(ctx15, 1.0, 1.05, 6)
+        assert est.value == est.half_width > 0.0
 
     def test_half_width_shrinks_with_depth(self, ctx15):
         widths = [measure_interval(ctx15, 0.4, 0.6, d).half_width
@@ -128,6 +164,14 @@ class TestLocalDimension:
                               depth=26)
         assert 0.4 < est.slope_lower <= est.slope_upper < 1.6
 
+    def test_recursion_equals_per_radius_measure(self):
+        ctx = BetaContext("1.3")
+        est = local_dimension(ctx, 1.7, 1, 12, method=METHOD_RECURSION,
+                              depth=20)
+        single = [measure_interval(ctx, 1.7 - r, 1.7 + r, 20)
+                  for r in est.radii]
+        assert est.log_measures == tuple(math.log(e.value) for e in single)
+
     def test_respects_local_dim_bound(self, rng):
         # upper local dimension bounds hold with slack at sampled points
         from betaprefix import local_dim_upper
@@ -159,3 +203,8 @@ class TestLocalDimension:
             local_dimension(ctx15, 1.0, 0, 12)
         with pytest.raises(ValueError):
             local_dimension(ctx15, 1.0, 8, 12, method="nope")
+        with pytest.raises(ValueError, match="samples"):
+            local_dimension(ctx15, 1.1, 8, 10, samples=0)
+        with pytest.raises(DepthExceeded):
+            local_dimension(ctx15, 1.1, 8, 10, method=METHOD_RECURSION,
+                            depth=49)

@@ -219,6 +219,11 @@ class TestBernoulli:
         assert code == 0
         assert "slope range" in out
 
+    def test_radii_without_colon_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "bernoulli", "1.5", "1.1", "--radii", "8")
+        assert code == 2
+        assert "KMIN:KMAX" in json.loads(err)["message"]
+
 
 class TestPrecisionEnv:
     def test_env_default(self, capsys, monkeypatch):
