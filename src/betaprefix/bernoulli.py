@@ -72,6 +72,17 @@ class LocalDimEstimate:
     unstable: bool
 
 
+def _support_share(lo: float, hi: float, ub: float) -> Optional[float]:
+    """Exact measure of [lo, hi] when it is settled by the support
+    [0, ub] alone: 0 off it (the measure has no atoms, so touching an
+    endpoint still scores 0), 1 over it, else None."""
+    if hi <= 0.0 or lo >= ub:
+        return 0.0
+    if lo <= 0.0 and hi >= ub:
+        return 1.0
+    return None
+
+
 def _sampled_estimates(beta: float, intervals, depth: int, samples: int,
                        seed: int) -> list:
     """Monte Carlo brackets of mu([lo, hi]) for each interval (see
@@ -112,12 +123,9 @@ def _count_estimates(ctx: BetaContext, intervals, depth: int) -> list:
     w = beta ** -depth / (beta - 1.0)  # cylinder width
     settled, windows = [], []
     for lo, hi in intervals:
-        if hi <= 0.0 or lo >= ub:
-            settled.append(0.0)  # off the support
-        elif lo <= 0.0 and hi >= ub:
-            settled.append(1.0)  # over the support
-        else:  # count the cylinders inside it, then those meeting it
-            settled.append(None)
+        settled.append(_support_share(lo, hi, ub))
+        if settled[-1] is None:
+            # count the cylinders inside it, then those meeting it
             windows += [(lo, hi - w), (lo - w, hi)]
     counts = iter(_count_in_windows(beta, depth, windows))
     estimates = []
@@ -139,7 +147,8 @@ def measure_interval(ctx: BetaContext, lo, hi, depth: int) -> MeasureEstimate:
     The lower bound is the share of cylinders [S, S + beta^-depth/(beta-1)]
     inside [lo, hi], the upper bound the share meeting it; the window
     counter of ``betaprefix.prefixes`` counts both exactly.  An interval
-    disjoint from the support scores exactly 0 and one covering it exactly 1.
+    meeting the support in at most an endpoint scores exactly 0 and one
+    covering it exactly 1.
     """
     return _count_estimates(ctx, [(float(lo), float(hi))], depth)[0]
 
@@ -153,8 +162,9 @@ def measure_monte_carlo(ctx: BetaContext, lo, hi, samples: int, depth: int,
     [lo - tail, hi + tail] over-counts the measure (outer estimate) and the
     fraction in [lo + tail, hi - tail] under-counts it (inner estimate).
     The reported half-width combines the bracket with a three-sigma
-    worst-case binomial sampling allowance.  All randomness flows from the
-    required seed, so runs are reproducible.
+    worst-case binomial sampling allowance.  Intervals off or over the
+    support score exactly 0 or 1, as in ``measure_interval``.  All
+    randomness flows from the required seed, so runs are reproducible.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -165,12 +175,9 @@ def measure_monte_carlo(ctx: BetaContext, lo, hi, samples: int, depth: int,
     lo_f, hi_f = float(lo), float(hi)
     if hi_f < lo_f:
         raise ValueError("interval endpoints out of order")
-    if lo_f <= 0.0 and hi_f >= ub:
-        return MeasureEstimate(interval=(lo_f, hi_f), value=1.0, half_width=0.0,
-                               depth=depth, method=METHOD_MONTE_CARLO,
-                               seed=seed, samples=samples)
-    if hi_f < 0.0 or lo_f > ub:
-        return MeasureEstimate(interval=(lo_f, hi_f), value=0.0, half_width=0.0,
+    share = _support_share(lo_f, hi_f, ub)
+    if share is not None:
+        return MeasureEstimate(interval=(lo_f, hi_f), value=share, half_width=0.0,
                                depth=depth, method=METHOD_MONTE_CARLO,
                                seed=seed, samples=samples)
     return _sampled_estimates(beta, [(lo_f, hi_f)], depth, samples, seed)[0]

@@ -13,7 +13,7 @@ same thresholds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -90,10 +90,10 @@ def kappa_lower_bound(ctx: BetaContext) -> float:
         return 0.5 / (fl + 1)
 
 
-def best_lower_bounds(ctx: BetaContext, m_max: int = DEFAULT_M_MAX,
-                      abs_tol: float = 1e-9) -> BoundReport:
-    """Lower-bound fragment of the report: kappa plus the best generator
-    bounds up to index m_max.
+def _walk_thresholds(ctx: BetaContext, m_max: int, abs_tol: float) -> tuple:
+    """One walk of the generator thresholds up to index m_max, as
+    (omega_pick, lambda_pick, kappa); each pick is (m, threshold) or None,
+    and kappa is None from the golden ratio up.
 
     The omega thresholds decrease with m, so the best bound 2m/(2m+1) comes
     from the largest m with beta <= omega_m.  The lambda thresholds increase
@@ -108,23 +108,42 @@ def best_lower_bounds(ctx: BetaContext, m_max: int = DEFAULT_M_MAX,
         kappa = kappa_lower_bound(ctx)
     omega_pick = None
     for m in range(1, m_max + 1):
-        if beta <= omega_threshold(m, abs_tol):
-            omega_pick = (m, (2 * m) / (2 * m + 1))
-        else:
+        threshold = omega_threshold(m, abs_tol)
+        if beta > threshold:
             break  # thresholds decrease; no larger m can qualify
+        omega_pick = (m, threshold)
     lambda_pick = None
     for m in range(1, m_max + 1):
-        if beta <= lambda_threshold(m, abs_tol):
-            lambda_pick = (m, 1 / (m + 2))
+        threshold = lambda_threshold(m, abs_tol)
+        if beta <= threshold:
+            lambda_pick = (m, threshold)
             break  # thresholds increase; the first hit is the best bound
-    lowers = [v for v in (kappa,
-                          omega_pick[1] if omega_pick else None,
-                          lambda_pick[1] if lambda_pick else None)
-              if v is not None]
-    return BoundReport(beta=beta, kappa=kappa, omega_bound=omega_pick,
-                       lambda_bound=lambda_pick,
+    return omega_pick, lambda_pick, kappa
+
+
+def _lower_bounds(ctx: BetaContext, walk: tuple) -> BoundReport:
+    omega_pick, lambda_pick, kappa = walk
+    lowers = [] if kappa is None else [kappa]
+    omega_bound = lambda_bound = None
+    if omega_pick:
+        m = omega_pick[0]
+        omega_bound = (m, (2 * m) / (2 * m + 1))
+        lowers.append(omega_bound[1])
+    if lambda_pick:
+        m = lambda_pick[0]
+        lambda_bound = (m, 1 / (m + 2))
+        lowers.append(lambda_bound[1])
+    return BoundReport(beta=ctx.beta, kappa=kappa, omega_bound=omega_bound,
+                       lambda_bound=lambda_bound,
                        best_lower=max(lowers) if lowers else None,
                        upper_bounds=(), local_dim_upper=(), local_dim_min=None)
+
+
+def best_lower_bounds(ctx: BetaContext, m_max: int = DEFAULT_M_MAX,
+                      abs_tol: float = 1e-9) -> BoundReport:
+    """Lower-bound fragment of the report: kappa plus the best generator
+    bounds up to index m_max."""
+    return _lower_bounds(ctx, _walk_thresholds(ctx, m_max, abs_tol))
 
 
 def upper_rate_bound(m: int):
@@ -209,6 +228,28 @@ def delta_search(m: int, abs_tol: float = 1e-8,
     return 2.0 - hi
 
 
+def _local_dim_bounds(ctx: BetaContext, walk: tuple) -> tuple:
+    omega_pick, lambda_pick, kappa = walk
+    log_beta_2 = float(mp.log(2) / mp.log(ctx.beta))
+    candidates = []
+    if omega_pick:
+        m, threshold = omega_pick
+        candidates.append(LocalDimBound(
+            source="majority-generator", m=m, value=log_beta_2 / (2 * m + 1),
+            threshold=float(threshold)))
+    if lambda_pick:
+        m, threshold = lambda_pick
+        candidates.append(LocalDimBound(
+            source="pair-generator", m=m, value=log_beta_2 * (m + 1) / (m + 2),
+            threshold=float(threshold)))
+    if kappa is not None:
+        candidates.append(LocalDimBound(
+            source="kappa", m=None, value=(1.0 - kappa) * log_beta_2,
+            threshold=float(golden_ratio(ctx.precision_bits))))
+    minimum = min((c.value for c in candidates), default=None)
+    return tuple(candidates), minimum
+
+
 def local_dim_upper(ctx: BetaContext, m_max: int = DEFAULT_M_MAX,
                     abs_tol: float = 1e-9) -> tuple:
     """All applicable upper bounds for the upper local dimension of the
@@ -219,47 +260,14 @@ def local_dim_upper(ctx: BetaContext, m_max: int = DEFAULT_M_MAX,
     beta at most the lambda threshold, and (1 - kappa) log_beta 2 below the
     golden ratio.
     """
-    beta = ctx.beta
-    log_beta_2 = float(mp.log(2) / mp.log(beta))
-    candidates = []
-    omega_pick = None
-    for m in range(1, m_max + 1):
-        if beta <= omega_threshold(m, abs_tol):
-            omega_pick = m
-        else:
-            break
-    if omega_pick is not None:
-        candidates.append(LocalDimBound(
-            source="majority-generator", m=omega_pick,
-            value=log_beta_2 / (2 * omega_pick + 1),
-            threshold=float(omega_threshold(omega_pick, abs_tol))))
-    for m in range(1, m_max + 1):
-        if beta <= lambda_threshold(m, abs_tol):
-            candidates.append(LocalDimBound(
-                source="pair-generator", m=m,
-                value=log_beta_2 * (m + 1) / (m + 2),
-                threshold=float(lambda_threshold(m, abs_tol))))
-            break
-    if beta < golden_ratio(ctx.precision_bits):
-        kappa = kappa_lower_bound(ctx)
-        candidates.append(LocalDimBound(
-            source="kappa", m=None, value=(1.0 - kappa) * log_beta_2,
-            threshold=float(golden_ratio(ctx.precision_bits))))
-    minimum = min((c.value for c in candidates), default=None)
-    return tuple(candidates), minimum
+    return _local_dim_bounds(ctx, _walk_thresholds(ctx, m_max, abs_tol))
 
 
 def bound_report(ctx: BetaContext, m_max: int = DEFAULT_M_MAX,
                  abs_tol: float = 1e-9) -> BoundReport:
     """The full report: lower bounds, upper bounds and local-dimension
     bounds for one base."""
-    frag = best_lower_bounds(ctx, m_max, abs_tol)
-    uppers = upper_rate_bounds(ctx)
-    cands, dim_min = local_dim_upper(ctx, m_max, abs_tol)
-    return BoundReport(beta=frag.beta, kappa=frag.kappa,
-                       omega_bound=frag.omega_bound,
-                       lambda_bound=frag.lambda_bound,
-                       best_lower=frag.best_lower,
-                       upper_bounds=uppers,
-                       local_dim_upper=cands,
-                       local_dim_min=dim_min)
+    walk = _walk_thresholds(ctx, m_max, abs_tol)
+    cands, dim_min = _local_dim_bounds(ctx, walk)
+    return replace(_lower_bounds(ctx, walk), upper_bounds=upper_rate_bounds(ctx),
+                   local_dim_upper=cands, local_dim_min=dim_min)

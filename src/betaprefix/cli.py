@@ -1,19 +1,21 @@
 """Command-line surface.
 
 Subcommands: ``roots``, ``count``, ``generate``, ``bounds``, ``growth``,
-``bernoulli``.  Every subcommand supports ``--format {table,csv,records}``;
-tables go to stdout, diagnostics to stderr.  Base and point arguments accept
-decimal strings or the symbolic forms ``omega:M`` / ``lambda:M``, which
-resolve through the root finder so threshold cases are exact to its
-tolerance.  Exit codes: 0 success, 2 argument or validation problems,
-3 violated mathematical invariants (reported as a JSON diagnostic record).
+``bernoulli``.  Every subcommand supports ``--format {table,csv,records}``:
+its ``cmd_*`` function builds the list of records once, and ``main`` writes
+that list as JSON lines or hands it to the subcommand's csv or table
+renderer, which reads nothing else.  Output goes to stdout, diagnostics to
+stderr.  Base and point arguments accept decimal strings or the symbolic
+forms ``omega:M`` / ``lambda:M``, which resolve through the root finder so
+threshold cases are exact to its tolerance.  Exit codes: 0 success, 2
+argument or validation problems, 3 violated mathematical invariants
+(reported as a JSON diagnostic record).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -38,12 +40,14 @@ TABLE_M_VALUES = (1, 2, 3, 10, 100)
 
 _VALIDATION_ERRORS = (ValueError, InvalidPoint, CapExceeded, OutOfDomain,
                       DepthExceeded, MemoryGuard)
-_INVARIANT_ERRORS = (ContainmentViolation, NoSteeringWord, Unreachable,
-                     NoRootFound)
 
 
 class OracleMismatch(BetaPrefixError):
     """Branching and direct enumeration disagreed."""
+
+
+_INVARIANT_ERRORS = (ContainmentViolation, NoSteeringWord, Unreachable,
+                     NoRootFound, OracleMismatch)
 
 
 def _default_precision() -> int:
@@ -71,167 +75,165 @@ def parse_scalar(text: str, precision_bits: int, abs_tol: float = 1e-9):
         return mpf(text)
 
 
-def _emit_records(recs):
-    sys.stdout.write(rc.to_jsonl(recs))
-
-
-def _emit_csv(header, rows):
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
 # ------------------------------------------------------------------- roots
 
-def _table_rows(m_values, abs_tol):
-    omega_rows = []
-    lambda_rows = []
+def cmd_roots(args) -> list:
+    m_values = TABLE_M_VALUES if args.reproduce_tables or not args.m else args.m
+    omega_recs, lambda_recs = [], []
     for m in m_values:
-        polys = [polynomial_spec(f, m) for f in (PolynomialFamily.OMEGA_1,
-                                                 PolynomialFamily.OMEGA_2,
-                                                 PolynomialFamily.OMEGA_3)]
-        omega_rows.append((m, float(omega_threshold(m, abs_tol)),
-                           [polynomial_string(p) for p in polys]))
-        lam = polynomial_spec(PolynomialFamily.LAMBDA, m)
-        lambda_rows.append((m, float(lambda_threshold(m, abs_tol)),
-                            polynomial_string(lam)))
-    return omega_rows, lambda_rows
+        polys = [polynomial_string(polynomial_spec(f, m))
+                 for f in (PolynomialFamily.OMEGA_1, PolynomialFamily.OMEGA_2,
+                           PolynomialFamily.OMEGA_3)]
+        omega_recs.append({"kind": "root", "sequence": "omega", "m": m,
+                           "value": f"{float(omega_threshold(m, args.abs_tol)):.5f}",
+                           "polynomials": polys})
+        lam = polynomial_string(polynomial_spec(PolynomialFamily.LAMBDA, m))
+        lambda_recs.append({"kind": "root", "sequence": "lambda", "m": m,
+                            "value": f"{float(lambda_threshold(m, args.abs_tol)):.5f}",
+                            "polynomials": [lam]})
+    return omega_recs + lambda_recs
 
 
-def cmd_roots(args) -> int:
-    m_values = tuple(args.m) if args.m else TABLE_M_VALUES
-    if args.reproduce_tables:
-        m_values = TABLE_M_VALUES
-    omega_rows, lambda_rows = _table_rows(m_values, args.abs_tol)
-    if args.format == "records":
-        recs = []
-        for (m, val, polys) in omega_rows:
-            recs.append({"kind": "root", "sequence": "omega", "m": m,
-                         "value": f"{val:.5f}", "polynomials": polys})
-        for (m, val, poly) in lambda_rows:
-            recs.append({"kind": "root", "sequence": "lambda", "m": m,
-                         "value": f"{val:.5f}", "polynomials": [poly]})
-        _emit_records(recs)
-        return 0
-    if args.format == "csv":
-        rows = []
-        for (m, val, polys) in omega_rows:
-            for p in polys:
-                rows.append(["omega", m, f"{val:.5f}", p])
-        for (m, val, poly) in lambda_rows:
-            rows.append(["lambda", m, f"{val:.5f}", poly])
-        _emit_csv(["sequence", "m", "value", "polynomial"], rows)
-        return 0
-    out = io.StringIO()
-    out.write("majority-block thresholds (omega)\n")
-    out.write(f"{'m':>4}  {'value':>9}  defining polynomials\n")
-    for m, val, polys in omega_rows:
-        out.write(f"{m:>4}  {val:>9.5f}  {polys[0]}\n")
-        for p in polys[1:]:
-            out.write(f"{'':>4}  {'':>9}  {p}\n")
-    out.write("\nsteered-pair thresholds (lambda)\n")
-    out.write(f"{'m':>4}  {'value':>9}  defining polynomial\n")
-    for m, val, poly in lambda_rows:
-        out.write(f"{m:>4}  {val:>9.5f}  {poly}\n")
-    sys.stdout.write(out.getvalue())
-    return 0
+def roots_csv(recs) -> list:
+    return [["sequence", "m", "value", "polynomial"]] + [
+        [r["sequence"], r["m"], r["value"], p] for r in recs for p in r["polynomials"]]
+
+
+def roots_table(recs) -> str:
+    out = ["majority-block thresholds (omega)\n",
+           f"{'m':>4}  {'value':>9}  defining polynomials\n"]
+    for r in recs:
+        if r["sequence"] == "omega":
+            first, *rest = r["polynomials"]
+            out.append(f"{r['m']:>4}  {r['value']:>9}  {first}\n")
+            out += [f"{'':>4}  {'':>9}  {p}\n" for p in rest]
+    out += ["\nsteered-pair thresholds (lambda)\n",
+            f"{'m':>4}  {'value':>9}  defining polynomial\n"]
+    out += [f"{r['m']:>4}  {r['value']:>9}  {r['polynomials'][0]}\n"
+            for r in recs if r["sequence"] == "lambda"]
+    return "".join(out)
 
 
 # ------------------------------------------------------------------- count
 
-def cmd_count(args) -> int:
+def cmd_count(args) -> list:
     ctx = BetaContext(parse_scalar(args.beta, args.precision_bits),
                       args.precision_bits, args.tolerance)
     x = parse_scalar(args.x, args.precision_bits)
     ps = pf.enumerate_prefixes_branching(ctx, x, args.k)
-    oracle_ok = None
     oracle_count = None
     if args.oracle:
         direct = pf.enumerate_prefixes_direct(ctx, x, args.k)
         oracle_count = direct.count
-        oracle_ok = direct.words == ps.words
-        if not oracle_ok:
+        if direct.words != ps.words:
             missing = set(direct.words) - set(ps.words)
             extra = set(ps.words) - set(direct.words)
             raise OracleMismatch(
                 f"branching and direct enumerations disagree at k={args.k}: "
                 f"{len(missing)} missing, {len(extra)} extra")
-    if args.format == "records":
-        recs = rc.prefix_set_records(ps, args.precision_bits)
-        recs.append({"kind": "count", "beta": args.beta, "x": args.x,
-                     "k": args.k, "count": ps.count,
-                     "oracle_count": oracle_count})
-        _emit_records(recs)
-    elif args.format == "csv":
-        _emit_csv(["word", "orbit_value"],
-                  [[w, rc.real_repr(ps.orbit_values[w], args.precision_bits)]
-                   for w in ps.words])
-    else:
-        sys.stdout.write(f"count = {ps.count}\n")
-        if args.oracle:
-            sys.stdout.write(f"oracle count = {oracle_count} (word sets match)\n")
-    return 0
+    # the table prints only the count; skip the per-word records for it
+    recs = ([] if args.format == "table"
+            else rc.prefix_set_records(ps, args.precision_bits))
+    recs.append({"kind": "count", "beta": args.beta, "x": args.x,
+                 "k": args.k, "count": ps.count, "oracle_count": oracle_count})
+    return recs
+
+
+def count_csv(recs) -> list:
+    return [["word", "orbit_value"]] + [
+        [r["word"], r["orbit_value"]] for r in recs if r["kind"] == "prefix"]
+
+
+def count_table(recs) -> str:
+    summary = recs[-1]
+    out = f"count = {summary['count']}\n"
+    if summary["oracle_count"] is not None:
+        out += f"oracle count = {summary['oracle_count']} (word sets match)\n"
+    return out
 
 
 # ----------------------------------------------------------------- generate
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> list:
     ctx = BetaContext(parse_scalar(args.beta, args.precision_bits),
                       args.precision_bits, args.tolerance)
     x = parse_scalar(args.x, args.precision_bits)
     run_fn = gn.run_generator_m if args.mode == gn.MODE_MAJORITY else gn.run_generator_s3
     run = run_fn(ctx, args.m, x, args.blocks)
-    if args.format == "records":
-        _emit_records(rc.generator_run_records(run, ctx.beta,
-                                               args.precision_bits))
-    elif args.format == "csv":
-        rows = []
-        for s, stage in enumerate(run.stages):
-            values = [v for _, v in stage]
-            rows.append([s, len(stage), len(stage[0][0]),
-                         rc.real_repr(min(values), args.precision_bits),
-                         rc.real_repr(max(values), args.precision_bits)])
-        _emit_csv(["stage", "count", "word_length", "orbit_min", "orbit_max"],
-                  rows)
-    else:
-        sys.stdout.write(
-            f"mode={run.mode} m={run.m} entry_steps={run.entry_steps} "
-            f"block_length={run.block_length}\n")
-        for s, stage in enumerate(run.stages):
-            sys.stdout.write(
-                f"stage {s}: {len(stage)} words of length {len(stage[0][0])}, "
-                f"orbits inside steering interval\n")
-    return 0
+    return rc.generator_run_records(run, ctx.beta, args.precision_bits,
+                                    include_words=args.format == "records")
+
+
+def generate_csv(recs) -> list:
+    return [["stage", "count", "word_length", "orbit_min", "orbit_max"]] + [
+        [r["index"], r["count"], r["word_length"], r["orbit_min"], r["orbit_max"]]
+        for r in recs if r["kind"] == "stage"]
+
+
+def generate_table(recs) -> str:
+    run = recs[0]
+    out = [f"mode={run['mode']} m={run['m']} entry_steps={run['entry_steps']} "
+           f"block_length={run['block_length']}\n"]
+    out += [f"stage {r['index']}: {r['count']} words of length {r['word_length']}, "
+            f"orbits inside steering interval\n"
+            for r in recs if r["kind"] == "stage"]
+    return "".join(out)
 
 
 # ------------------------------------------------------------------- bounds
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> list:
     ctx = BetaContext(parse_scalar(args.beta, args.precision_bits),
                       args.precision_bits, args.tolerance)
-    report = bd.bound_report(ctx, args.m_max)
-    if args.format == "records":
-        _emit_records(rc.bound_report_records(report, args.precision_bits))
-    elif args.format == "csv":
-        rows = [["kappa", "", report.kappa if report.kappa is not None else ""]]
-        if report.omega_bound:
-            rows.append(["omega_lower", report.omega_bound[0], report.omega_bound[1]])
-        if report.lambda_bound:
-            rows.append(["lambda_lower", report.lambda_bound[0], report.lambda_bound[1]])
-        for m, value, threshold in report.upper_bounds:
-            rows.append(["upper_rate", m, value])
-        for cand in report.local_dim_upper:
-            rows.append([f"local_dim_{cand.source}", cand.m if cand.m else "",
-                         cand.value])
-        _emit_csv(["bound", "m", "value"], rows)
+    return rc.bound_report_records(bd.bound_report(ctx, args.m_max),
+                                   args.precision_bits)
+
+
+def bounds_csv(recs) -> list:
+    head = recs[0]  # csv writes None as an empty field
+    rows = [["bound", "m", "value"], ["kappa", "", head["kappa"]]]
+    for name in ("omega", "lambda"):
+        if head[f"{name}_bound_m"] is not None:
+            rows.append([f"{name}_lower", head[f"{name}_bound_m"],
+                         head[f"{name}_bound"]])
+    rows += [["upper_rate", r["m"], r["value"]]
+             for r in recs if r["kind"] == "upper_bound"]
+    rows += [[f"local_dim_{r['source']}", r["m"], r["value"]]
+             for r in recs if r["kind"] == "local_dim_bound"]
+    return rows
+
+
+def bounds_table(recs) -> str:
+    head = recs[0]
+    lines = [f"beta = {head['beta']}"]
+    if head["kappa"] is not None:
+        lines.append(f"kappa lower bound          {head['kappa']:.6f}")
+    if head["omega_bound_m"] is not None:
+        lines.append(f"majority-generator bound   {head['omega_bound']:.6f}  "
+                     f"(m={head['omega_bound_m']})")
+    if head["lambda_bound_m"] is not None:
+        lines.append(f"pair-generator bound       {head['lambda_bound']:.6f}  "
+                     f"(m={head['lambda_bound_m']})")
+    if head["best_lower"] is not None:
+        lines.append(f"best lower bound           {head['best_lower']:.6f}")
     else:
-        sys.stdout.write(rc.bound_report_table(report, args.precision_bits))
-    return 0
+        lines.append("best lower bound           (none applicable)")
+    for r in recs:
+        if r["kind"] == "upper_bound":
+            lines.append(f"upper rate bound           {r['value']:.6f}  "
+                         f"(m={r['m']}, valid for beta > {r['threshold']:.6f})")
+        elif r["kind"] == "local_dim_bound":
+            mtxt = f", m={r['m']}" if r["m"] is not None else ""
+            lines.append(f"local dim upper bound      {r['value']:.6f}  "
+                         f"({r['source']}{mtxt})")
+    if head["local_dim_min"] is not None:
+        lines.append(f"local dim best upper       {head['local_dim_min']:.6f}")
+    return "\n".join(lines) + "\n"
 
 
 # ------------------------------------------------------------------- growth
 
-def cmd_growth(args) -> int:
+def cmd_growth(args) -> list:
     ctx = BetaContext(parse_scalar(args.beta, args.precision_bits),
                       args.precision_bits, args.tolerance)
     x = parse_scalar(args.x, args.precision_bits)
@@ -239,37 +241,40 @@ def cmd_growth(args) -> int:
     report = bd.bound_report(ctx, args.m_max)
     beta_f = float(ctx.beta)
     expected = math.log2(2.0 / beta_f) if beta_f < math.sqrt(2) else None
-    if args.format == "records":
-        recs = rc.growth_records(est)
-        recs.append({"kind": "growth_bounds",
-                     "best_lower": report.best_lower,
-                     "min_upper": min((v for _, v, _ in report.upper_bounds),
-                                      default=None),
-                     "expected_typical_slope": expected})
-        _emit_records(recs)
-    elif args.format == "csv":
-        _emit_csv(["k", "log2_count", "slope"],
-                  [[k, f"{lc:.10f}", f"{lc / k:.10f}"]
-                   for k, lc in zip(est.k_values, est.log2_counts)])
-    else:
-        for k, lc in zip(est.k_values, est.log2_counts):
-            sys.stdout.write(f"k={k:>3}  log2 N_k={lc:>12.6f}  slope={lc / k:.6f}\n")
-        sys.stdout.write(f"lower slope = {est.lower_slope:.6f}\n")
-        sys.stdout.write(f"upper slope = {est.upper_slope:.6f}\n")
-        if report.best_lower is not None:
-            sys.stdout.write(f"best lower bound = {report.best_lower:.6f}\n")
-        uppers = [v for _, v, _ in report.upper_bounds]
-        if uppers:
-            sys.stdout.write(f"min upper bound = {min(uppers):.6f}\n")
-        if expected is not None:
-            sys.stdout.write(
-                f"almost-every-base expected slope log2(2/beta) = {expected:.6f}\n")
-    return 0
+    recs = rc.growth_records(est)
+    recs.append({"kind": "growth_bounds",
+                 "best_lower": report.best_lower,
+                 "min_upper": min((v for _, v, _ in report.upper_bounds),
+                                  default=None),
+                 "expected_typical_slope": expected})
+    return recs
+
+
+def growth_csv(recs) -> list:
+    return [["k", "log2_count", "slope"]] + [
+        [r["k"], f"{r['log2_count']:.10f}", f"{r['slope']:.10f}"]
+        for r in recs if r["kind"] == "growth_point"]
+
+
+def growth_table(recs) -> str:
+    *points, summary, bounds = recs
+    out = [f"k={r['k']:>3}  log2 N_k={r['log2_count']:>12.6f}  slope={r['slope']:.6f}\n"
+           for r in points]
+    out.append(f"lower slope = {summary['lower_slope']:.6f}\n")
+    out.append(f"upper slope = {summary['upper_slope']:.6f}\n")
+    if bounds["best_lower"] is not None:
+        out.append(f"best lower bound = {bounds['best_lower']:.6f}\n")
+    if bounds["min_upper"] is not None:
+        out.append(f"min upper bound = {bounds['min_upper']:.6f}\n")
+    if bounds["expected_typical_slope"] is not None:
+        out.append("almost-every-base expected slope log2(2/beta) = "
+                   f"{bounds['expected_typical_slope']:.6f}\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------- bernoulli
 
-def cmd_bernoulli(args) -> int:
+def cmd_bernoulli(args) -> list:
     ctx = BetaContext(parse_scalar(args.beta, args.precision_bits),
                       args.precision_bits, args.tolerance)
     x = parse_scalar(args.x, args.precision_bits)
@@ -280,27 +285,29 @@ def cmd_bernoulli(args) -> int:
                              method=args.method, depth=args.depth,
                              samples=args.samples, seed=args.seed)
     _, dim_min = bd.local_dim_upper(ctx)
-    if args.format == "records":
-        recs = [{"kind": "local_dim", "x": float(est.x),
-                 "slope_lower": est.slope_lower,
-                 "slope_upper": est.slope_upper,
-                 "unstable": est.unstable,
-                 "bound_min": dim_min}]
-        recs += [{"kind": "local_dim_point", "radius": r, "log_measure": lm}
-                 for r, lm in zip(est.radii, est.log_measures)]
-        _emit_records(recs)
-    elif args.format == "csv":
-        _emit_csv(["radius", "log_measure"],
-                  [[f"{r:.12g}", f"{lm:.10f}"]
-                   for r, lm in zip(est.radii, est.log_measures)])
-    else:
-        for r, lm in zip(est.radii, est.log_measures):
-            sys.stdout.write(f"r={r:.10g}  log mu={lm:.6f}\n")
-        sys.stdout.write(f"slope range [{est.slope_lower:.6f}, {est.slope_upper:.6f}]"
-                         f"{'  (unstable)' if est.unstable else ''}\n")
-        if dim_min is not None:
-            sys.stdout.write(f"local dim upper bound = {dim_min:.6f}\n")
-    return 0
+    recs = [{"kind": "local_dim", "x": float(est.x),
+             "slope_lower": est.slope_lower,
+             "slope_upper": est.slope_upper,
+             "unstable": est.unstable,
+             "bound_min": dim_min}]
+    recs += [{"kind": "local_dim_point", "radius": r, "log_measure": lm}
+             for r, lm in zip(est.radii, est.log_measures)]
+    return recs
+
+
+def bernoulli_csv(recs) -> list:
+    return [["radius", "log_measure"]] + [
+        [f"{r['radius']:.12g}", f"{r['log_measure']:.10f}"] for r in recs[1:]]
+
+
+def bernoulli_table(recs) -> str:
+    head, *points = recs
+    out = [f"r={r['radius']:.10g}  log mu={r['log_measure']:.6f}\n" for r in points]
+    out.append(f"slope range [{head['slope_lower']:.6f}, {head['slope_upper']:.6f}]"
+               f"{'  (unstable)' if head['unstable'] else ''}\n")
+    if head["bound_min"] is not None:
+        out.append(f"local dim upper bound = {head['bound_min']:.6f}\n")
+    return "".join(out)
 
 
 # -------------------------------------------------------------------- main
@@ -328,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reproduce-tables", action="store_true",
                    help="emit the published threshold tables layout")
     p.add_argument("--abs-tol", type=float, default=1e-9)
-    p.set_defaults(fn=cmd_roots)
+    p.set_defaults(fn=cmd_roots, csv=roots_csv, table=roots_table)
 
     p = sub.add_parser("count", parents=[common], help="count k-prefixes")
     p.add_argument("beta")
@@ -336,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the direct enumeration")
-    p.set_defaults(fn=cmd_count)
+    p.set_defaults(fn=cmd_count, csv=count_csv, table=count_table)
 
     p = sub.add_parser("generate", parents=[common], help="run a generator")
     p.add_argument("beta")
@@ -345,12 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("blocks", type=int)
     p.add_argument("--mode", choices=(gn.MODE_MAJORITY, gn.MODE_STEERED_PAIR),
                    default=gn.MODE_MAJORITY)
-    p.set_defaults(fn=cmd_generate)
+    p.set_defaults(fn=cmd_generate, csv=generate_csv, table=generate_table)
 
     p = sub.add_parser("bounds", parents=[common], help="full bound report")
     p.add_argument("beta")
     p.add_argument("--m-max", type=int, default=bd.DEFAULT_M_MAX)
-    p.set_defaults(fn=cmd_bounds)
+    p.set_defaults(fn=cmd_bounds, csv=bounds_csv, table=bounds_table)
 
     p = sub.add_parser("growth", parents=[common],
                        help="finite-depth growth estimate vs bounds")
@@ -359,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k_max", type=int)
     p.add_argument("--k-min", type=int, default=8)
     p.add_argument("--m-max", type=int, default=bd.DEFAULT_M_MAX)
-    p.set_defaults(fn=cmd_growth)
+    p.set_defaults(fn=cmd_growth, csv=growth_csv, table=growth_table)
 
     p = sub.add_parser("bernoulli", parents=[common],
                        help="local dimension estimate vs bounds")
@@ -373,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--samples", type=int, default=1 << 21)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_bernoulli)
+    p.set_defaults(fn=cmd_bernoulli, csv=bernoulli_csv, table=bernoulli_table)
     return parser
 
 
@@ -386,16 +393,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except OracleMismatch as exc:
-        sys.stderr.write(_diagnostic(exc) + "\n")
-        return 3
+        recs = args.fn(args)
+        if args.format == "records":
+            sys.stdout.write(rc.to_jsonl(recs))
+        elif args.format == "csv":
+            csv.writer(sys.stdout, lineterminator="\n").writerows(args.csv(recs))
+        else:
+            sys.stdout.write(args.table(recs))
     except _INVARIANT_ERRORS as exc:
         sys.stderr.write(_diagnostic(exc) + "\n")
         return 3
     except _VALIDATION_ERRORS as exc:
         sys.stderr.write(_diagnostic(exc) + "\n")
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -396,9 +396,6 @@ class GeneratorRun:
     def stage_words(self, s: int) -> tuple:
         return tuple(w for w, _ in self.stages[s])
 
-    def stage_values(self, s: int) -> tuple:
-        return tuple(v for _, v in self.stages[s])
-
     def descendant_count(self, s_from: int, word: str, s_to: int) -> int:
         """Number of stage-s_to words extending ``word`` from stage s_from."""
         if s_to < s_from:

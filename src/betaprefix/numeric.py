@@ -25,6 +25,8 @@ DEFAULT_ROOT_TOL = 1e-9
 # step smaller than the smallest observed gap between distinct family roots.
 _SCAN_OFFSET = mpf(10) ** -9
 _SCAN_STEP = mpf(10) ** -3
+with workprec(160):
+    _GOLDEN_RATIO_160 = (1 + mp.sqrt(5)) / 2  # bounds every lambda root
 
 
 class BetaContext:
@@ -276,8 +278,7 @@ def lambda_threshold(m: int, abs_tol: float = DEFAULT_ROOT_TOL):
         raise ValueError("m must be a positive integer")
     r = _cached_root(PolynomialFamily.LAMBDA, m, abs_tol)
     with workprec(160):
-        phi = (1 + mp.sqrt(5)) / 2
-        if not (1 < r < phi + mpf(abs_tol)):
+        if not (1 < r < _GOLDEN_RATIO_160 + mpf(abs_tol)):
             raise NoRootFound(f"lambda threshold for m={m} outside (1, golden ratio)")
     return r
 

@@ -1,5 +1,4 @@
-"""Serialization helpers: line-oriented word lists, JSON-line records and
-CSV rows.
+"""Serialization helpers: line-oriented word lists and JSON-line records.
 
 The records format is one JSON object per line with a ``kind`` field; the
 field schemas are documented in the README.  Real numbers are emitted as
@@ -139,33 +138,6 @@ def bound_report_records(report: BoundReport,
                      "m": cand.m, "value": cand.value,
                      "threshold": cand.threshold})
     return recs
-
-
-def bound_report_table(report: BoundReport,
-                       precision_bits: int = DEFAULT_PRECISION_BITS) -> str:
-    lines = [f"beta = {real_repr(report.beta, precision_bits)}"]
-    if report.kappa is not None:
-        lines.append(f"kappa lower bound          {report.kappa:.6f}")
-    if report.omega_bound:
-        m, v = report.omega_bound
-        lines.append(f"majority-generator bound   {v:.6f}  (m={m})")
-    if report.lambda_bound:
-        m, v = report.lambda_bound
-        lines.append(f"pair-generator bound       {v:.6f}  (m={m})")
-    if report.best_lower is not None:
-        lines.append(f"best lower bound           {report.best_lower:.6f}")
-    else:
-        lines.append("best lower bound           (none applicable)")
-    for m, value, threshold in report.upper_bounds:
-        lines.append(f"upper rate bound           {value:.6f}  "
-                     f"(m={m}, valid for beta > {threshold:.6f})")
-    for cand in report.local_dim_upper:
-        mtxt = f", m={cand.m}" if cand.m is not None else ""
-        lines.append(f"local dim upper bound      {cand.value:.6f}  "
-                     f"({cand.source}{mtxt})")
-    if report.local_dim_min is not None:
-        lines.append(f"local dim best upper       {report.local_dim_min:.6f}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------- measure / growth

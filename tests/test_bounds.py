@@ -206,6 +206,11 @@ class TestLocalDimUpper:
         assert cands == ()
         assert minimum is None
 
+    def test_m_max_guard(self, ctx15):
+        for fn in (best_lower_bounds, local_dim_upper, bound_report):
+            with pytest.raises(ValueError, match="m_max must be at least 1"):
+                fn(ctx15, m_max=0)
+
 
 class TestBoundReport:
     def test_assembled_report(self, ctx15):

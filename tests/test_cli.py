@@ -1,5 +1,7 @@
 """CLI behaviour: subcommands, formats, symbolic scalars and exit codes."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -151,6 +153,7 @@ class TestBounds:
         code, out, _ = run_cli(capsys, "bounds", "1.5", "--m-max", "8")
         assert code == 0
         assert "kappa lower bound          0.125000" in out
+        assert "upper rate bound" in out
 
     def test_records(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "1.07", "--m-max", "8",
@@ -252,3 +255,81 @@ class TestPrecisionEnv:
                                "--m-max", "4")
         assert code == 0
         assert "lower slope" in out
+
+
+def _fields(kind, *names):
+    return lambda recs: [[r[n] for n in names] for r in recs if r["kind"] == kind]
+
+
+def _bounds_rows(recs):
+    head = recs[0]
+    rows = [["kappa", None, head["kappa"]]]
+    rows += [[f"{n}_lower", head[f"{n}_bound_m"], head[f"{n}_bound"]]
+             for n in ("omega", "lambda") if head[f"{n}_bound_m"] is not None]
+    rows += [["upper_rate", r["m"], r["value"]]
+             for r in recs if r["kind"] == "upper_bound"]
+    rows += [[f"local_dim_{r['source']}", r["m"], r["value"]]
+             for r in recs if r["kind"] == "local_dim_bound"]
+    return rows
+
+
+# subcommand -> (argv, the csv rows its records imply, table headlines)
+FORMAT_CASES = {
+    "roots": (
+        ["roots", "1", "2"],
+        lambda recs: [[r["sequence"], r["m"], r["value"], p]
+                      for r in recs for p in r["polynomials"]],
+        lambda recs: [r["value"] for r in recs]),
+    "count": (
+        ["count", "1.5", "1", "8", "--oracle"],
+        _fields("prefix", "word", "orbit_value"),
+        lambda recs: [f"count = {recs[-1]['count']}",
+                      f"oracle count = {recs[-1]['oracle_count']}"]),
+    "generate": (
+        ["generate", "1.05", "11.0", "1", "2"],
+        _fields("stage", "index", "count", "word_length", "orbit_min", "orbit_max"),
+        lambda recs: [f"stage {r['index']}: {r['count']} words"
+                      for r in recs if r["kind"] == "stage"]),
+    "bounds": (
+        ["bounds", "1.07", "--m-max", "8"],
+        _bounds_rows,
+        lambda recs: [recs[0]["beta"]] + [
+            f"{recs[0][k]:.6f}" for k in ("kappa", "omega_bound", "lambda_bound",
+                                          "best_lower", "local_dim_min")]),
+    "growth": (
+        ["growth", "1.3", "0.9", "14", "--m-max", "4"],
+        _fields("growth_point", "k", "log2_count", "slope"),
+        lambda recs: [f"{recs[-2][k]:.6f}" for k in ("lower_slope", "upper_slope")]
+        + [f"{recs[-1][k]:.6f}" for k in ("best_lower", "min_upper",
+                                          "expected_typical_slope")]),
+    "bernoulli": (
+        ["bernoulli", "1.5", "1.1", "--radii", "6:9", "--method", "recursion",
+         "--depth", "24"],
+        _fields("local_dim_point", "radius", "log_measure"),
+        lambda recs: [f"{recs[0][k]:.6f}" for k in ("slope_lower", "slope_upper",
+                                                    "bound_min")]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FORMAT_CASES))
+def test_csv_and_table_agree_with_records(capsys, command):
+    argv, rows_of, headlines_of = FORMAT_CASES[command]
+    out = {}
+    for fmt in ("records", "csv", "table"):
+        code, out[fmt], _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0
+    recs = [json.loads(line) for line in out["records"].splitlines()]
+    _, *rows = csv.reader(io.StringIO(out["csv"]))
+    expected = rows_of(recs)
+    assert len(rows) == len(expected) > 0
+    for row, values in zip(rows, expected):
+        assert len(row) == len(values)
+        for cell, value in zip(row, values):
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, float):  # csv may round to 10 places
+                assert float(cell) == pytest.approx(value, rel=1e-9, abs=1e-10)
+            else:
+                assert cell == str(value)
+    for text in headlines_of(recs):
+        assert text in out["table"]

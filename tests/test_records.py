@@ -8,9 +8,8 @@ from mpmath import mpf, workprec
 from betaprefix import (BetaContext, bound_report, enumerate_prefixes_direct,
                         growth_estimate, measure_monte_carlo, run_generator_m,
                         omega_threshold)
-from betaprefix.records import (bound_report_records, bound_report_table,
-                                generator_run_records, growth_records,
-                                measure_records, parse_measure_record,
+from betaprefix.records import (bound_report_records, generator_run_records,
+                                growth_records, measure_records, parse_measure_record,
                                 parse_prefix_set_lines,
                                 parse_prefix_set_records, parse_real,
                                 prefix_set_lines, prefix_set_records,
@@ -77,15 +76,12 @@ class TestOtherRecords:
         for line in to_jsonl(recs).splitlines():
             json.loads(line)
 
-    def test_bound_report_records_and_table(self, ctx15):
+    def test_bound_report_records(self, ctx15):
         rep = bound_report(ctx15, m_max=8)
         recs = bound_report_records(rep, 128)
         head = recs[0]
         assert head["kind"] == "bound_report"
         assert head["kappa"] == pytest.approx(0.125)
-        table = bound_report_table(rep, 128)
-        assert "kappa lower bound" in table
-        assert "upper rate bound" in table
 
     def test_measure_record_round_trip(self, ctx15):
         est = measure_monte_carlo(ctx15, 0.4, 0.6, 1000, 20, seed=5)
