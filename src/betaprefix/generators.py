@@ -15,10 +15,28 @@ extension's orbit lands back inside it:
 
 Orbit containment is asserted for every extension; a violation falsifies
 the defining polynomial inequality for the given beta and aborts loudly.
+
+Each context builds its generator tables once, in ``ctx.cache``, and every
+extension reads them: the validated steering intervals, the pair-mode check
+for each m, the block words with their affine offsets, and per steering
+length the words sorted by offset.  A table whose validation fails is not
+stored, so the failure repeats on every call.  Containment compares a value
+against interval ends widened by the comparison tolerance, ``lo - tol`` and
+``hi + tol``, computed once at the context precision: these are the values
+``BetaContext.in_interval`` computes, and mpf comparisons are exact at any
+precision, so each decision is the one ``in_interval`` makes.
+
+A steering word of length L acts on an orbit value v as beta^L * v + q.
+Rounding ``beta^L * v + q`` is monotone in the offset q, so the words that
+land in the widened interval form one run of the offset-sorted table; two
+bisections find it, and the lexicographically smallest word of the run is
+the one a lexicographic scan of all 2^L words would find first, with the
+same value.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass
@@ -59,8 +77,44 @@ class PairSteeringInterval:
     hi: object
 
 
+def _per_context(build):
+    """Run ``build(ctx, ...)`` once per context and argument list and keep
+    the result in ``ctx.cache``.  A call that raises stores nothing, so a
+    failed validation repeats on every call."""
+    @functools.wraps(build)
+    def cached(ctx: BetaContext, *args, **kwargs):
+        key = (build.__name__, *args, *kwargs.items())
+        got = ctx.cache.get(key)
+        if got is None:
+            got = ctx.cache[key] = build(ctx, *args, **kwargs)
+        return got
+    return cached
+
+
+@dataclass(frozen=True)
+class _Widened:
+    """A closed interval as its ends widened by the comparison tolerance."""
+
+    lo_w: object
+    hi_w: object
+
+    def contains(self, x) -> bool:
+        return self.lo_w <= x <= self.hi_w
+
+
+@_per_context
+def _widened(ctx: BetaContext, lo, hi) -> _Widened:
+    """[lo, hi] widened at the context precision: ``contains(x)`` is the
+    decision ``ctx.in_interval(x, lo, hi)`` makes."""
+    with workprec(ctx.precision_bits):
+        tol = ctx.comparison_tolerance
+        return _Widened(lo - tol, hi + tol)
+
+
+@_per_context
 def block_steering_interval(ctx: BetaContext, m: int) -> BlockSteeringInterval:
-    """Validated steering interval for majority-block mode.
+    """Validated steering interval for majority-block mode, built once per
+    context.
 
     Requires beta <= omega threshold of m; then
     0 <= lo < pivot < hi <= 1/(beta-1), lo is the (2m+1)-fold lower-map
@@ -90,9 +144,11 @@ def block_steering_interval(ctx: BetaContext, m: int) -> BlockSteeringInterval:
         return iv
 
 
+@_per_context
 def pair_steering_interval(ctx: BetaContext) -> PairSteeringInterval:
-    """Validated steering interval for steered-pair mode; needs beta below
-    the golden ratio so the interval fits inside the admissible one."""
+    """Validated steering interval for steered-pair mode, built once per
+    context; needs beta below the golden ratio so the interval fits inside
+    the admissible one."""
     with workprec(ctx.precision_bits):
         if ctx.beta >= golden_ratio(ctx.precision_bits):
             raise OutOfDomain(
@@ -128,11 +184,10 @@ def _lex_smallest_entry(ctx: BetaContext, lo, hi, x, length: int,
     so subtrees whose bound interval misses the target are skipped.  Returns
     None if the node budget is exhausted before a hit.
     """
-    tol = ctx.comparison_tolerance
     ub = ctx.one_over_beta_minus_one
     beta = ctx.beta
-    target_lo = lo - tol
-    target_hi = hi + tol
+    target = _widened(ctx, lo, hi)
+    base = _widened(ctx, 0, ub)
     nodes = 0
     stack = [("", mpf(x))]
     while stack:
@@ -142,19 +197,19 @@ def _lex_smallest_entry(ctx: BetaContext, lo, hi, x, length: int,
             return None
         n = length - len(w)
         if n == 0:
-            if target_lo <= v <= target_hi:
+            if target.contains(v):
                 return w
             continue
         bn = ctx.power(n)
-        if bn * (v - ub) + ub > target_hi:
+        if bn * (v - ub) + ub > target.hi_w:
             continue
-        if bn * v < target_lo:
+        if bn * v < target.lo_w:
             continue
         child = beta * v - 1
-        if -tol <= child <= ub + tol:
+        if base.contains(child):
             stack.append((w + "1", child))
         child += 1
-        if -tol <= child <= ub + tol:
+        if base.contains(child):
             stack.append((w + "0", child))
     return None
 
@@ -169,37 +224,37 @@ def _entry_word(ctx: BetaContext, lo, hi, x, depth_cap: int):
     enters the interval without jumping over it, because the interval
     contains the core two-cycle.
     """
+    target = _widened(ctx, lo, hi)
     with workprec(ctx.precision_bits):
         x = mpf(x)
         _require_interior(ctx, x)
-        tol = ctx.comparison_tolerance
-        if ctx.in_interval(x, lo, hi):
+        if target.contains(x):
             return "", 0
         beta = ctx.beta
         if x < lo:
             # all-zeros climb is both minimal and lexicographically smallest
             v = x
             j = 0
-            while v < lo - tol:
+            while v < target.lo_w:
                 v *= beta
                 j += 1
                 if j > depth_cap:
                     raise Unreachable(
                         f"no entry into [{lo}, {hi}] within {depth_cap} steps from x={x}")
-            if v > hi + tol:
+            if v > target.hi_w:
                 raise Unreachable(
                     f"monotone climb jumped over [{lo}, {hi}] from x={x}")
             return "0" * j, j
         # x > hi: the all-ones descent fixes the minimal length
         v = x
         j = 0
-        while v > hi + tol:
+        while v > target.hi_w:
             v = beta * v - 1
             j += 1
             if j > depth_cap:
                 raise Unreachable(
                     f"no entry into [{lo}, {hi}] within {depth_cap} steps from x={x}")
-        if v < lo - tol:
+        if v < target.lo_w:
             raise Unreachable(
                 f"monotone descent jumped over [{lo}, {hi}] from x={x}")
         word = _lex_smallest_entry(ctx, lo, hi, x, j)
@@ -207,7 +262,7 @@ def _entry_word(ctx: BetaContext, lo, hi, x, depth_cap: int):
             # budget exhausted: fall back to the known-good all-ones word
             word = "1" * j
         final = apply_word(ctx, word, x)
-        if not ctx.in_interval(final, lo, hi):
+        if not target.contains(final):
             raise Unreachable(
                 f"entry word {word!r} fails to land in [{lo}, {hi}] (value {final})")
         return word, j
@@ -227,13 +282,16 @@ def entry_word_s3(ctx: BetaContext, m: int, x):
     return _entry_word(ctx, iv.lo, iv.hi, x, depth_cap=64 * (m + 4))
 
 
-def _require_pair_mode(ctx: BetaContext, m: int):
+@_per_context
+def _require_pair_mode(ctx: BetaContext, m: int) -> bool:
+    """Raise unless beta <= lambda_m; returns True, so a pass is kept."""
     if m < 1:
         raise ValueError("m must be a positive integer")
     if ctx.beta > lambda_threshold(m):
         raise OutOfDomain(
             f"steered-pair mode needs beta <= lambda_{m} = "
             f"{lambda_threshold(m)}, got {ctx.beta}")
+    return True
 
 
 @functools.lru_cache(maxsize=256)
@@ -245,22 +303,24 @@ def _majority_words(length: int, heavy: str) -> tuple:
                  if bits.count(heavy) >= need)
 
 
-def _affine_words(ctx: BetaContext, words: tuple, length: int, key) -> tuple:
-    """Cache of (word, offset) pairs: applying ``word`` acts on an orbit
-    value v as beta^length * v + offset."""
-    got = ctx.cache.get(key)
-    if got is None:
-        with workprec(ctx.precision_bits):
-            res = []
-            for w in words:
-                q = mpf(0)
-                for n, ch in enumerate(w, start=1):
-                    if ch == "1":
-                        q -= ctx.power(length - n)
-                res.append((w, q))
-        got = tuple(res)
-        ctx.cache[key] = got
-    return got
+def _affine_words(ctx: BetaContext, words, length: int) -> tuple:
+    """(word, offset) pairs: applying ``word`` acts on an orbit value v as
+    beta^length * v + offset."""
+    with workprec(ctx.precision_bits):
+        res = []
+        for w in words:
+            q = mpf(0)
+            for n, ch in enumerate(w, start=1):
+                if ch == "1":
+                    q -= ctx.power(length - n)
+            res.append((w, q))
+    return tuple(res)
+
+
+@_per_context
+def _block_words(ctx: BetaContext, length: int, heavy: str) -> tuple:
+    """(word, offset) pairs of the majority words, in lexicographic order."""
+    return _affine_words(ctx, _majority_words(length, heavy), length)
 
 
 def extend_block_m(ctx: BetaContext, m: int, prefix_word: str, orbit):
@@ -275,20 +335,20 @@ def extend_block_m(ctx: BetaContext, m: int, prefix_word: str, orbit):
     for this beta.
     """
     iv = block_steering_interval(ctx, m)
+    iv_w = _widened(ctx, iv.lo, iv.hi)
     with workprec(ctx.precision_bits):
         orbit = mpf(orbit)
-        if not ctx.in_interval(orbit, iv.lo, iv.hi):
+        if not iv_w.contains(orbit):
             raise InvalidPoint(
                 f"orbit {orbit} outside steering interval [{iv.lo}, {iv.hi}]")
         length = 2 * m + 1
         heavy = "1" if orbit >= iv.pivot else "0"
-        pairs = _affine_words(ctx, _majority_words(length, heavy), length,
-                              key=("block_m", m, heavy))
+        pairs = _block_words(ctx, length, heavy)
         scale = ctx.power(length)
         out = []
         for block, q in pairs:
             v = scale * orbit + q
-            if not ctx.in_interval(v, iv.lo, iv.hi):
+            if not iv_w.contains(v):
                 raise ContainmentViolation(
                     f"block {block} (after {prefix_word!r}) leaves the steering "
                     f"interval: value {v} not in [{iv.lo}, {iv.hi}] at beta={ctx.beta}")
@@ -296,25 +356,36 @@ def extend_block_m(ctx: BetaContext, m: int, prefix_word: str, orbit):
         return out
 
 
+@_per_context
+def _steering_table(ctx: BetaContext, cache_tag, length: int) -> tuple:
+    """(offsets, words): every word of the given length with its affine
+    offset, sorted by offset; ``cache_tag`` names the table."""
+    words = ("".join(bits) for bits in itertools.product("01", repeat=length))
+    table = sorted((q, w) for w, q in _affine_words(ctx, words, length))
+    return [q for q, _ in table], [w for _, w in table]
+
+
 def _steer_into(ctx: BetaContext, lo, hi, value, length: int, cache_tag):
     """Lexicographically smallest word of the given length whose affine
-    action sends ``value`` into [lo, hi] (tolerance-closed)."""
+    action sends ``value`` into [lo, hi] (tolerance-closed), with the value
+    it lands on."""
+    target = _widened(ctx, lo, hi)
     if length == 0:
-        if ctx.in_interval(value, lo, hi):
+        if target.contains(value):
             return "", value
         raise NoSteeringWord(
             f"value {value} not in steering interval and no steering steps left")
-    words = tuple("".join(bits)
-                  for bits in itertools.product("01", repeat=length))
-    pairs = _affine_words(ctx, words, length, key=(cache_tag, length))
-    scale = ctx.power(length)
-    for w, q in pairs:
-        v = scale * value + q
-        if ctx.in_interval(v, lo, hi):
-            return w, v
-    raise NoSteeringWord(
-        f"no word of length {length} steers {value} back into [{lo}, {hi}] "
-        f"at beta={ctx.beta}")
+    offsets, words = _steering_table(ctx, cache_tag, length)
+    base = ctx.power(length) * value
+    landing = lambda q: base + q  # rounding keeps this monotone in q
+    first = bisect.bisect_left(offsets, target.lo_w, key=landing)
+    end = bisect.bisect_right(offsets, target.hi_w, lo=first, key=landing)
+    if first == end:
+        raise NoSteeringWord(
+            f"no word of length {length} steers {value} back into [{lo}, {hi}] "
+            f"at beta={ctx.beta}")
+    k = min(range(first, end), key=words.__getitem__)
+    return words[k], base + offsets[k]
 
 
 def extend_block_s3(ctx: BetaContext, m: int, prefix_word: str, orbit):
@@ -331,25 +402,27 @@ def extend_block_s3(ctx: BetaContext, m: int, prefix_word: str, orbit):
     """
     _require_pair_mode(ctx, m)
     iv = pair_steering_interval(ctx)
+    iv_w = _widened(ctx, iv.lo, iv.hi)
+    core_w = _widened(ctx, iv.core_lo, iv.core_hi)
+    base_w = _widened(ctx, 0, ctx.one_over_beta_minus_one)
     with workprec(ctx.precision_bits):
         orbit = mpf(orbit)
-        if not ctx.in_interval(orbit, iv.lo, iv.hi):
+        if not iv_w.contains(orbit):
             raise InvalidPoint(
                 f"orbit {orbit} outside steering interval [{iv.lo}, {iv.hi}]")
-        tol = ctx.comparison_tolerance
         beta = ctx.beta
         forced = ""
         v = orbit
-        if v < iv.core_lo - tol:
-            while v < iv.core_lo - tol:
+        if v < core_w.lo_w:
+            while v < core_w.lo_w:
                 v *= beta
                 forced += "0"
                 if len(forced) > m + 1:
                     raise ContainmentViolation(
                         f"forced climb into the core took more than m+1={m + 1} "
                         f"steps at beta={beta}")
-        elif v > iv.core_hi + tol:
-            while v > iv.core_hi + tol:
+        elif v > core_w.hi_w:
+            while v > core_w.hi_w:
                 v = beta * v - 1
                 forced += "1"
                 if len(forced) > m + 1:
@@ -361,7 +434,7 @@ def extend_block_s3(ctx: BetaContext, m: int, prefix_word: str, orbit):
         out = []
         for digit in ("0", "1"):
             vb = beta * v - int(digit)
-            if not ctx.in_base_interval(vb):
+            if not base_w.contains(vb):
                 raise ContainmentViolation(
                     f"branch digit {digit} leaves the admissible interval from "
                     f"core value {v} at beta={beta}")

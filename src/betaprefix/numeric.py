@@ -60,7 +60,12 @@ class BetaContext:
             self.core_lo = 1 / (b * b - 1)
             self.core_hi = b / (b * b - 1)
         self._powers = [mpf(1), self.beta]  # beta^n cache, grown on demand
-        # scratch cache used by other modules (contexts are otherwise immutable)
+        # Tables other modules build once per context (contexts are otherwise
+        # immutable).  ``generators`` keeps here the validated steering
+        # intervals, their tolerance-widened ends and those of the core and
+        # of the base interval, the pair-mode check for each m, the majority
+        # block words with their offsets, and the offset-sorted steering
+        # words for each length.
         self.cache: dict = {}
 
     def __repr__(self):
@@ -257,11 +262,18 @@ def _cached_root(family: PolynomialFamily, m: int, abs_tol: float):
     return smallest_root_above_one(polynomial_spec(family, m), abs_tol)
 
 
-def omega_threshold(m: int, abs_tol: float = DEFAULT_ROOT_TOL):
-    """Base threshold below which the majority-block generator is valid:
-    the minimum of the three OMEGA family roots for this m."""
+@functools.lru_cache(maxsize=4096)
+def _checked_threshold(sequence: str, m: int, abs_tol: float):
+    """The ``"omega"`` or ``"lambda"`` threshold for m, range-checked once.
+    A failed check raises, so it is never cached and fails on every call."""
     if m < 1:
         raise ValueError("m must be a positive integer")
+    if sequence == "lambda":
+        r = _cached_root(PolynomialFamily.LAMBDA, m, abs_tol)
+        with workprec(160):
+            if not (1 < r < _GOLDEN_RATIO_160 + mpf(abs_tol)):
+                raise NoRootFound(f"lambda threshold for m={m} outside (1, golden ratio)")
+        return r
     roots = [_cached_root(f, m, abs_tol) for f in
              (PolynomialFamily.OMEGA_1, PolynomialFamily.OMEGA_2,
               PolynomialFamily.OMEGA_3)]
@@ -271,18 +283,19 @@ def omega_threshold(m: int, abs_tol: float = DEFAULT_ROOT_TOL):
     return r
 
 
+def omega_threshold(m: int, abs_tol: float = DEFAULT_ROOT_TOL):
+    """Base threshold below which the majority-block generator is valid:
+    the minimum of the three OMEGA family roots for this m."""
+    return _checked_threshold("omega", m, abs_tol)
+
+
 def lambda_threshold(m: int, abs_tol: float = DEFAULT_ROOT_TOL):
     """Base threshold below which the steered-pair generator is valid:
     the smallest LAMBDA family root above 1.  Lies below (1+sqrt(5))/2."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    r = _cached_root(PolynomialFamily.LAMBDA, m, abs_tol)
-    with workprec(160):
-        if not (1 < r < _GOLDEN_RATIO_160 + mpf(abs_tol)):
-            raise NoRootFound(f"lambda threshold for m={m} outside (1, golden ratio)")
-    return r
+    return _checked_threshold("lambda", m, abs_tol)
 
 
+@functools.lru_cache(maxsize=64)
 def golden_ratio(precision_bits: int = DEFAULT_PRECISION_BITS):
     with workprec(precision_bits):
         return (1 + mp.sqrt(5)) / 2

@@ -1,6 +1,7 @@
 """CLI behaviour: subcommands, formats, symbolic scalars and exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -146,6 +147,26 @@ class TestGenerate:
                                "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "stage,count,word_length,orbit_min,orbit_max"
+
+    # SHA-256 of the records output, frozen from the linear steering scan
+    # that the offset-sorted bisection replaced: the search must not change
+    # a word or a digit.
+    @pytest.mark.parametrize("argv, digest", [
+        (["omega:1", "7.0", "1", "3"],
+         "48a4bef1d6ee9bb6619a441a0f7a7d6eb6bc13a8598f4ac99f56a93430bf3f4b"),
+        (["lambda:2", "1.0", "2", "3", "--mode", "s3"],
+         "84cd405a9e554a32549e4e1c03d290e9832adb9e1f6db8e2b9a2faacf85c9356"),
+        (["omega:2", "3.0", "2", "2"],
+         "4276b434f50a30d42cded3f9bc5ce85e07ac075abac2122c3c94074cfecfbeac"),
+        (["lambda:5", "1.1", "5", "8", "--mode", "s3"],
+         "b85da73307724254920fe1f780743ea5d16719ca29e638af5e85325a7033697f"),
+        (["lambda:3", "0.4", "3", "6", "--mode", "s3", "--precision-bits", "96"],
+         "b2275ed049393131c0c78d76bd4a95601cbaf9645620be0109bf5c212d4a1505"),
+    ])
+    def test_records_are_pinned(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, "generate", *argv, "--format", "records")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestBounds:

@@ -1,9 +1,10 @@
 """Tests for the steering intervals, entry words and the two generators."""
 
+import itertools
 import math
 
 import pytest
-from mpmath import mpf, workprec
+from mpmath import frexp, mpf, workprec
 
 import betaprefix.generators as gn
 from betaprefix import (BetaContext, ContainmentViolation, InvalidPoint,
@@ -15,6 +16,7 @@ from betaprefix import (BetaContext, ContainmentViolation, InvalidPoint,
                         run_generator_m, run_generator_s3,
                         smallest_root_above_one, polynomial_spec,
                         PolynomialFamily)
+from betaprefix.errors import NoSteeringWord
 
 
 def _beta_below_omega(m, factor=0.7):
@@ -43,10 +45,24 @@ class TestBlockSteeringInterval:
                 assert iv.lo <= ctx.core_lo < ctx.core_hi <= iv.hi
 
     def test_out_of_domain(self):
-        with pytest.raises(OutOfDomain):
-            block_steering_interval(BetaContext("1.05"), 2)
-        with pytest.raises(ValueError):
-            block_steering_interval(BetaContext("1.05"), 0)
+        ctx = BetaContext("1.05")
+        for _ in range(2):  # a failed validation is not cached
+            with pytest.raises(OutOfDomain):
+                block_steering_interval(ctx, 2)
+            with pytest.raises(ValueError):
+                block_steering_interval(ctx, 0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda ctx: block_steering_interval(ctx, 2),
+    pair_steering_interval,
+], ids=["block", "pair"])
+def test_cached_interval_equals_fresh(build):
+    beta = _beta_below_omega(2)
+    ctx = BetaContext(beta)
+    first = build(ctx)
+    assert build(ctx) is first  # the second call reads the context's table
+    assert first == build(BetaContext(beta))
 
 
 class TestPairSteeringInterval:
@@ -62,8 +78,10 @@ class TestPairSteeringInterval:
                 assert abs(apply_map(ctx, 0, ctx.core_hi) - iv.hi) <= tol
 
     def test_out_of_domain_at_golden_ratio(self):
-        with pytest.raises(OutOfDomain):
-            pair_steering_interval(BetaContext("1.62"))
+        ctx = BetaContext("1.62")
+        for _ in range(2):  # a failed validation is not cached
+            with pytest.raises(OutOfDomain):
+                pair_steering_interval(ctx)
 
 
 def _brute_entry(ctx, lo, hi, x, max_depth=12):
@@ -285,6 +303,12 @@ class TestExtendBlockS3:
         with pytest.raises(ContainmentViolation):
             gn.extend_block_s3(ctx, m, "", iv.lo)
 
+    def test_out_of_domain_repeats(self):
+        ctx = BetaContext("1.55")  # above lambda_2
+        for _ in range(2):  # a failed pair-mode check is not cached
+            with pytest.raises(OutOfDomain):
+                extend_block_s3(ctx, 2, "", ctx.core_lo)
+
     def test_steering_guard_rejects_stranded_value(self):
         # with no steering steps left, a value outside the interval has no
         # way back and the guard must say so
@@ -293,6 +317,74 @@ class TestExtendBlockS3:
         iv = pair_steering_interval(ctx)
         with pytest.raises(NoSteeringWord):
             gn._steer_into(ctx, iv.lo, iv.hi, iv.hi * 2, 0, cache_tag="test")
+
+
+def _scan_steer(ctx, lo, hi, value, length):
+    """Reference steering search: the linear lexicographic scan over all
+    2^length words, with offsets built the same way as the library's."""
+    if length == 0:
+        if ctx.in_interval(value, lo, hi):
+            return "", value
+        raise NoSteeringWord("stranded")
+    scale = ctx.power(length)
+    for bits in itertools.product("01", repeat=length):
+        w = "".join(bits)
+        with workprec(ctx.precision_bits):
+            q = mpf(0)
+            for n, ch in enumerate(w, start=1):
+                if ch == "1":
+                    q -= ctx.power(length - n)
+        v = scale * value + q
+        if ctx.in_interval(v, lo, hi):
+            return w, v
+    raise NoSteeringWord("no word")
+
+
+def _steer_values(ctx, lo, hi, length, rng):
+    """Values spread over the base interval, plus values a few ulps around
+    those that some word sends exactly onto a widened end."""
+    ub = ctx.one_over_beta_minus_one
+    values = [ub * mpf(i) / 10 for i in range(11)]
+    tol = ctx.comparison_tolerance
+    scale = ctx.power(length)
+    for _ in range(3):
+        w = "".join(rng.choice("01") for _ in range(length))
+        q = apply_word(ctx, w, 0)
+        for end in (lo - tol, hi + tol):
+            v0 = (end - q) / scale
+            ulp = mpf(2) ** (frexp(v0)[1] - ctx.precision_bits)
+            values += [v0 + k * ulp for k in range(-2, 3)]
+    return values
+
+
+@pytest.mark.parametrize("precision", [96, 128, 200])
+@pytest.mark.parametrize("beta", ["1.2", "1.45", "lambda:2", "lambda:3",
+                                  "lambda:4", "lambda:5"])
+def test_steer_bisection_matches_linear_scan(beta, precision, rng):
+    if beta.startswith("lambda:"):
+        beta = lambda_threshold(int(beta[7:]))
+    on_end = 0
+    for tolerance in (0, None):
+        ctx = BetaContext(beta, precision_bits=precision,
+                          comparison_tolerance=tolerance)
+        iv = pair_steering_interval(ctx)
+        tol = ctx.comparison_tolerance
+        with workprec(precision):
+            ends = (iv.lo - tol, iv.hi + tol)
+            for length in range(8):
+                for value in _steer_values(ctx, iv.lo, iv.hi, length, rng):
+                    try:
+                        want = _scan_steer(ctx, iv.lo, iv.hi, value, length)
+                    except NoSteeringWord:
+                        with pytest.raises(NoSteeringWord):
+                            gn._steer_into(ctx, iv.lo, iv.hi, value, length,
+                                           cache_tag="test")
+                        continue
+                    got = gn._steer_into(ctx, iv.lo, iv.hi, value, length,
+                                         cache_tag="test")
+                    assert got[0] == want[0] and got[1] == want[1]
+                    on_end += want[1] in ends
+    assert on_end > 0  # some landings sat exactly on a widened end
 
 
 def _forced_prefix(w0, w1):
