@@ -1,5 +1,6 @@
 """High-precision scalar core: the base context, the two expanding maps,
-sparse integer polynomials and bracketed root finding.
+sparse integer polynomials and root finding certified by Descartes' rule
+of signs.
 
 Everything orbit-related is computed in software floating point (mpmath) at
 the context's working precision.  64-bit doubles misclassify interval
@@ -10,7 +11,9 @@ for boundary classification.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,12 +24,12 @@ from .errors import NoRootFound, OutOfDomain
 DEFAULT_PRECISION_BITS = 128
 DEFAULT_ROOT_TOL = 1e-9
 
-# Root scan parameters: start just above 1 to skip the known root at x=1,
-# step smaller than the smallest observed gap between distinct family roots.
+# Root scan grid: start just above 1 to skip the known root at x=1 and step
+# by 1e-3 up to 2 (both are 53-bit values).  The grid needs no assumption on
+# root gaps: a polynomial that Descartes' rule allows one root above 1
+# changes sign at most once on it, and any other polynomial is walked in order.
 _SCAN_OFFSET = mpf(10) ** -9
 _SCAN_STEP = mpf(10) ** -3
-with workprec(160):
-    _GOLDEN_RATIO_160 = (1 + mp.sqrt(5)) / 2  # bounds every lambda root
 
 
 class BetaContext:
@@ -204,45 +207,84 @@ def polynomial_string(spec: PolynomialSpec) -> str:
     return out
 
 
+def descartes_bound_above_one(spec: PolynomialSpec) -> int:
+    """Bound on the number of roots of p in (1, inf), counted with
+    multiplicity: the sign variations of p's coefficients, less one when
+    p(1) = 0.
+
+    By Descartes' rule of signs the variations bound the positive roots of
+    p, and a root at 1 is one of them.  A bound of 1 leaves room for at most
+    one root above 1, so a sign change of p above 1 is that root, and it is
+    simple.  Every family member has the bound 1, for every m: the
+    coefficient signs are + - - - + +, + - - +, + - - and + - - +, and
+    p(1) = 0 except for OMEGA_3.  The count reads each term once, whatever
+    the degree.
+    """
+    signs = [c > 0 for _, c in spec.coefficients]
+    variations = sum(a != b for a, b in zip(signs, signs[1:]))
+    return variations - (sum(c for _, c in spec.coefficients) == 0)
+
+
+@functools.lru_cache(maxsize=8)
+def _scan_grid(precision_bits: int) -> tuple:
+    """The points 1 + 1e-9, then 1e-3 apart, up to and including 2, summed
+    one step at a time at ``precision_bits`` and clipped to 2 at the end."""
+    with workprec(precision_bits):
+        grid = [1 + _SCAN_OFFSET]
+        while grid[-1] < 2:
+            b = grid[-1] + _SCAN_STEP
+            if b == grid[-1]:
+                raise ValueError(f"{precision_bits} bits cannot resolve the scan step")
+            grid.append(b if b <= 2 else mpf(2))
+    return tuple(grid)
+
+
 def smallest_root_above_one(spec: PolynomialSpec, abs_tol: float = DEFAULT_ROOT_TOL,
                             precision_bits: int = 160):
-    """Smallest real root of the family polynomial in (1, 2).
+    """Smallest real root of the polynomial in (1, 2).
 
-    Scans (1 + 1e-9, 2) with step 1e-3 for a sign change, then bisects the
-    first bracket down to width ``abs_tol``.  Returns the lower end of the
-    final bracket, where the polynomial is still negative; every family is
-    negative between 1 and its smallest root, so the returned value is a
-    base at which the defining inequalities hold, never one just past the
-    root.  Deterministic for fixed inputs.
+    Finds the first cell of the scan grid (1 + 1e-9, then steps of 1e-3 up
+    to 2) at whose right end the polynomial is zero or has changed sign,
+    and bisects that cell down to width ``abs_tol``.  When
+    :func:`descartes_bound_above_one` is 1 the polynomial changes sign at
+    most once above 1, so the cell is found by bisection over grid indices
+    and holds the only root above 1.  Otherwise the grid is walked in order,
+    which finds the first of several sign changes.  Both searches find the
+    same cell whenever the signs computed at the grid points are exact.
+
+    Returns the lower end of the final bracket, where the polynomial still
+    has its sign at 1 + 1e-9; every family is negative between 1 and its
+    smallest root, so the returned value is a base at which the defining
+    inequalities hold, never one just past the root.  Deterministic for
+    fixed inputs.
 
     Raises NoRootFound when no sign change is seen, which signals either a
-    coefficient bug or insufficient precision.
+    coefficient bug or insufficient precision, and ValueError unless
+    0 < abs_tol < inf.
     """
-    if abs_tol <= 0:
-        raise ValueError("abs_tol must be positive")
+    if not 0 < abs_tol < math.inf:
+        raise ValueError("abs_tol must be positive and finite")
+    grid = _scan_grid(precision_bits)
     with workprec(precision_bits):
         tol = mpf(abs_tol)
-        a = 1 + _SCAN_OFFSET
-        fa = evaluate_polynomial(spec, a)
-        if fa == 0:
-            return a
-        bracket = None
-        while a < 2:
-            b = a + _SCAN_STEP
-            if b > 2:
-                b = mpf(2)
-            fb = evaluate_polynomial(spec, b)
-            if fb == 0 or (fa < 0) != (fb < 0):
-                bracket = (a, fa, b)
-                break
-            a, fa = b, fb
-            if a >= 2:
-                break
-        if bracket is None:
+        f0 = evaluate_polynomial(spec, grid[0])
+        if f0 == 0:
+            return grid[0]
+        neg = f0 < 0
+
+        def changed(j):
+            fj = evaluate_polynomial(spec, grid[j])
+            return fj == 0 or (fj < 0) != neg
+
+        cells = range(1, len(grid))
+        if descartes_bound_above_one(spec) == 1:
+            j = 1 + bisect.bisect_left(cells, True, key=changed)
+        else:
+            j = next((j for j in cells if changed(j)), len(grid))
+        if j == len(grid):
             raise NoRootFound(
                 f"no sign change of {spec.family.value} m={spec.m} in (1,2)")
-        lo, flo, hi = bracket
-        neg = flo < 0
+        lo, hi = grid[j - 1], grid[j]
         while hi - lo > tol:
             mid = (lo + hi) / 2
             fm = evaluate_polynomial(spec, mid)
@@ -271,7 +313,7 @@ def _checked_threshold(sequence: str, m: int, abs_tol: float):
     if sequence == "lambda":
         r = _cached_root(PolynomialFamily.LAMBDA, m, abs_tol)
         with workprec(160):
-            if not (1 < r < _GOLDEN_RATIO_160 + mpf(abs_tol)):
+            if not (1 < r < golden_ratio(160) + mpf(abs_tol)):
                 raise NoRootFound(f"lambda threshold for m={m} outside (1, golden ratio)")
         return r
     roots = [_cached_root(f, m, abs_tol) for f in

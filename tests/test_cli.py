@@ -38,6 +38,24 @@ class TestRoots:
         _, out2, _ = run_cli(capsys, "roots", "--reproduce-tables")
         assert out1 == out2
 
+    # SHA-256 of the table and records output, frozen from the linear root
+    # scan that the certified search replaced: no printed digit may drift.
+    @pytest.mark.parametrize("fmt, digest", [
+        ("table", "739efeefd5ce39fade7155b0f05dc0549e3c965a715c3111c8fb18534864349a"),
+        ("records", "3a6f3ac8832253477e249f538fdcc30b67f34e4b03854c096677981dd7166ce2"),
+    ])
+    def test_reproduce_tables_are_pinned(self, capsys, fmt, digest):
+        code, out, _ = run_cli(capsys, "roots", "--reproduce-tables", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_rejects_bad_abs_tol(self, capsys, tol):
+        code, out, err = run_cli(capsys, "roots", "1", "--abs-tol", tol)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
     def test_records_format(self, capsys):
         code, out, _ = run_cli(capsys, "roots", "1", "2", "--format", "records")
         assert code == 0

@@ -13,7 +13,7 @@ from betaprefix import (BetaContext, NoRootFound, PolynomialFamily,
                         golden_ratio, lambda_threshold, omega_threshold,
                         polynomial_spec, polynomial_string,
                         smallest_root_above_one)
-from betaprefix.numeric import PolynomialSpec
+from betaprefix.numeric import PolynomialSpec, descartes_bound_above_one
 
 # Published threshold values (5 decimal places); the last-digit unit
 # tolerance absorbs the publication rounding.
@@ -173,6 +173,44 @@ def _bisect_oracle(f, lo, hi, tol=1e-12):
     return (lo + hi) / 2
 
 
+def _linear_scan_root(spec, abs_tol=1e-9, precision_bits=160):
+    """The root finder as it was before the certified search: a linear scan
+    of (1 + 1e-9, 2) in steps of 1e-3, then bisection of the first cell."""
+    with workprec(53):  # the package makes its scan constants at import
+        step, offset = mpf(10) ** -3, mpf(10) ** -9
+    with workprec(precision_bits):
+        tol = mpf(abs_tol)
+        a = 1 + offset
+        fa = evaluate_polynomial(spec, a)
+        if fa == 0:
+            return a
+        bracket = None
+        while a < 2:
+            b = a + step
+            if b > 2:
+                b = mpf(2)
+            fb = evaluate_polynomial(spec, b)
+            if fb == 0 or (fa < 0) != (fb < 0):
+                bracket = (a, fa, b)
+                break
+            a, fa = b, fb
+        if bracket is None:
+            raise NoRootFound("no sign change")
+        lo, flo, hi = bracket
+        neg = flo < 0
+        while hi - lo > tol:
+            mid = (lo + hi) / 2
+            fm = evaluate_polynomial(spec, mid)
+            if fm == 0:
+                hi = mid
+                continue
+            if (fm < 0) == neg:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+
 class TestRoots:
     def test_omega3_m1_against_bisection_oracle(self):
         oracle = _bisect_oracle(lambda x: x ** 5 - x - 1, 1.0, 2.0)
@@ -203,13 +241,57 @@ class TestRoots:
 
     def test_no_root_found(self):
         flat = PolynomialSpec(PolynomialFamily.OMEGA_3, 1, ((1, 1), (0, 1)))
+        assert descartes_bound_above_one(flat) == 0
         with pytest.raises(NoRootFound):
             smallest_root_above_one(flat)
+        # certified, but its root 2 + 5e-10 lies past the grid's end: the
+        # last step overshoots 2 by about 1e-9 and is clipped to 2
+        past_two = PolynomialSpec(PolynomialFamily.OMEGA_3, 1,
+                                  ((1, 2 * 10 ** 9), (0, -(4 * 10 ** 9 + 1))))
+        assert descartes_bound_above_one(past_two) == 1
+        with pytest.raises(NoRootFound):
+            smallest_root_above_one(past_two)
 
     def test_rejects_bad_tol(self):
+        for tol in (0, -1e-9, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                smallest_root_above_one(
+                    polynomial_spec(PolynomialFamily.LAMBDA, 1), abs_tol=tol)
+
+    def test_rejects_precision_below_the_scan_step(self):
+        # at 8 bits 1 + 1e-3 rounds to 1, so the grid would never reach 2
         with pytest.raises(ValueError):
             smallest_root_above_one(
-                polynomial_spec(PolynomialFamily.LAMBDA, 1), abs_tol=0)
+                polynomial_spec(PolynomialFamily.LAMBDA, 1), precision_bits=8)
+
+    def test_every_family_root_has_a_certificate(self):
+        for family in PolynomialFamily:
+            for m in [*range(1, 65), 1000, 10 ** 6]:
+                assert descartes_bound_above_one(polynomial_spec(family, m)) == 1
+
+    def test_certified_search_matches_linear_scan(self):
+        for family in PolynomialFamily:
+            for m in range(1, 65):
+                spec = polynomial_spec(family, m)
+                assert (smallest_root_above_one(spec)._mpf_
+                        == _linear_scan_root(spec)._mpf_), (family, m)
+
+    def test_root_at_one_is_divided_out(self):
+        # -(x - 1)(2x - 3): two sign variations, less the root at 1
+        spec = PolynomialSpec(PolynomialFamily.OMEGA_3, 1, ((2, -2), (1, 5), (0, -3)))
+        assert descartes_bound_above_one(spec) == 1
+        root = smallest_root_above_one(spec)
+        assert root._mpf_ == _linear_scan_root(spec)._mpf_
+        assert abs(root - 1.5) < 1e-9
+
+    def test_two_roots_return_the_smaller(self):
+        # 10x^2 - 27x + 18 = (2x - 3)(5x - 6) is positive at both grid ends,
+        # so only the ordered walk finds its sign changes
+        two = PolynomialSpec(PolynomialFamily.OMEGA_3, 1, ((2, 10), (1, -27), (0, 18)))
+        assert descartes_bound_above_one(two) == 2
+        root = smallest_root_above_one(two)
+        assert root._mpf_ == _linear_scan_root(two)._mpf_
+        assert str(root) == "1.19999999909265"
 
     @pytest.mark.parametrize("m,text", sorted(PUBLISHED_OMEGA.items()))
     def test_omega_published_values(self, m, text):
