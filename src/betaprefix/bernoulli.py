@@ -10,7 +10,16 @@ are provided that serve as one another's oracle:
   cylinder [S, S + beta^-d/(beta-1)], so the shares of cylinders inside and
   meeting an interval bracket its measure (the measure can be singular, so
   a point estimate without a bracket is meaningless), and
-* a seeded Monte Carlo estimate over depth-truncated digit sums.
+* a seeded Monte Carlo estimate over depth-truncated digit sums (method
+  ``"monte-carlo"``).
+
+``local_dimension`` uses the exact cylinder count by default, at depth
+k_max + 14 for radii down to beta^-k_max.  On the local-dimension requests
+of the perfbench ``measure`` workload that is the least offset at which no
+tail-window bracket exceeds a quarter of its value; it costs about a
+twelfth of offset 22, whose slopes it matches to about 1e-6.  Monte Carlo
+keeps its own default depth, k_max + 22, and stays the independent oracle
+of the tests.
 
 Both run in double precision: no orbit is iterated, the depth is capped at
 48, and the cylinder and truncation widths dominate the float rounding
@@ -34,6 +43,8 @@ _MC_CHUNK = 1 << 19
 
 METHOD_RECURSION = "recursion"
 METHOD_MONTE_CARLO = "monte-carlo"
+# default local-dimension depth is k_max plus this offset, per method
+_DEPTH_OFFSET = {METHOD_RECURSION: 14, METHOD_MONTE_CARLO: 22}
 
 
 def _three_sigma(p: float, n: int) -> float:
@@ -62,6 +73,8 @@ class LocalDimEstimate:
     over the tail window (top third of the k-range, where the limit behaviour
     dominates the constants).  ``unstable`` flags measure estimates whose
     brackets exceed a quarter of their values inside the window.
+    ``method`` and ``depth`` name the estimator and the digit depth that
+    produced the measures.
     """
 
     x: float
@@ -70,6 +83,8 @@ class LocalDimEstimate:
     slope_lower: float
     slope_upper: float
     unstable: bool
+    method: str
+    depth: int
 
 
 def _support_share(lo: float, hi: float, ub: float) -> Optional[float]:
@@ -184,11 +199,18 @@ def measure_monte_carlo(ctx: BetaContext, lo, hi, samples: int, depth: int,
 
 
 def local_dimension(ctx: BetaContext, x, k_min: int, k_max: int,
-                    method: str = METHOD_MONTE_CARLO, depth: Optional[int] = None,
+                    method: str = METHOD_RECURSION, depth: Optional[int] = None,
                     samples: int = 1 << 21, seed: int = 0) -> LocalDimEstimate:
     """Slope estimates of log mu([x-r, x+r]) / log r over radii r = beta^-k
-    for k in [k_min, k_max]; one sample set or one half-split count serves
-    every radius."""
+    for k in [k_min, k_max]; one half-split count or one sample set serves
+    every radius.
+
+    ``method`` is ``"recursion"`` (default: the exact cylinder-count
+    brackets of ``measure_interval``) or ``"monte-carlo"`` (the sampled
+    brackets of ``measure_monte_carlo``; only this method reads ``samples``
+    and ``seed``).  When ``depth`` is None it is min(48, k_max + 14) for the
+    count and min(48, k_max + 22) for Monte Carlo.
+    """
     if k_min < 1 or k_max < k_min:
         raise ValueError("need 1 <= k_min <= k_max")
     if method not in (METHOD_RECURSION, METHOD_MONTE_CARLO):
@@ -201,7 +223,7 @@ def local_dimension(ctx: BetaContext, x, k_min: int, k_max: int,
     if not (0.0 < xf < ub):
         raise InvalidPoint(f"x={x} must lie strictly inside (0, 1/(beta-1))")
     if depth is None:
-        depth = min(MAX_DEPTH, k_max + 22)
+        depth = min(MAX_DEPTH, k_max + _DEPTH_OFFSET[method])
     ks = tuple(range(k_min, k_max + 1))
     radii = tuple(beta ** -k for k in ks)
     balls = [(xf - r, xf + r) for r in radii]
@@ -218,4 +240,4 @@ def local_dimension(ctx: BetaContext, x, k_min: int, k_max: int,
                    if e.value > 0)
     return LocalDimEstimate(x=xf, radii=radii, log_measures=log_measures,
                             slope_lower=min(slopes), slope_upper=max(slopes),
-                            unstable=unstable)
+                            unstable=unstable, method=method, depth=depth)

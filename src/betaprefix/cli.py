@@ -286,6 +286,7 @@ def cmd_bernoulli(args) -> list:
                              samples=args.samples, seed=args.seed)
     _, dim_min = bd.local_dim_upper(ctx)
     recs = [{"kind": "local_dim", "x": float(est.x),
+             "method": est.method, "depth": est.depth,
              "slope_lower": est.slope_lower,
              "slope_upper": est.slope_upper,
              "unstable": est.unstable,
@@ -376,10 +377,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="radius exponents, radii are beta^-k")
     p.add_argument("--method", choices=(bl.METHOD_RECURSION,
                                         bl.METHOD_MONTE_CARLO),
-                   default=bl.METHOD_MONTE_CARLO)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--samples", type=int, default=1 << 21)
-    p.add_argument("--seed", type=int, default=0)
+                   default=bl.METHOD_RECURSION,
+                   help="exact cylinder count (recursion, the default) or "
+                        "seeded sampling (monte-carlo)")
+    p.add_argument("--depth", type=int, default=None,
+                   help="digit depth, either method (default KMAX+14 for "
+                        "recursion, KMAX+22 for monte-carlo, at most 48)")
+    p.add_argument("--samples", type=int, default=1 << 21,
+                   help="monte-carlo only: digit sums drawn (default 2^21)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="monte-carlo only: random seed")
     p.set_defaults(fn=cmd_bernoulli, csv=bernoulli_csv, table=bernoulli_table)
     return parser
 

@@ -225,6 +225,17 @@ def descartes_bound_above_one(spec: PolynomialSpec) -> int:
     return variations - (sum(c for _, c in spec.coefficients) == 0)
 
 
+def _sign_right_of_one(spec: PolynomialSpec) -> int:
+    """Sign of p on (1, 1 + eps) for all small enough eps > 0: the sign of
+    the first nonzero derivative p^(n)(1) = sum c_e e!/(e-n)!, computed
+    exactly on the integer coefficients.  The derivative of order deg p is
+    nonzero, so the loop returns."""
+    for n in range(spec.coefficients[0][0] + 1):
+        d = sum(c * math.perm(e, n) for e, c in spec.coefficients)
+        if d:
+            return 1 if d > 0 else -1
+
+
 @functools.lru_cache(maxsize=8)
 def _scan_grid(precision_bits: int) -> tuple:
     """The points 1 + 1e-9, then 1e-3 apart, up to and including 2, summed
@@ -251,16 +262,20 @@ def smallest_root_above_one(spec: PolynomialSpec, abs_tol: float = DEFAULT_ROOT_
     and holds the only root above 1.  Otherwise the grid is walked in order,
     which finds the first of several sign changes.  Both searches find the
     same cell whenever the signs computed at the grid points are exact.
+    When the bound is 1 and the grid shows no sign change, but the exact
+    sign of p just right of 1 (:func:`_sign_right_of_one`) differs from its
+    sign at 1 + 1e-9, the root lies in (1, 1 + 1e-9] and that cell is
+    bisected instead, until its lower end leaves 1.
 
     Returns the lower end of the final bracket, where the polynomial still
-    has its sign at 1 + 1e-9; every family is negative between 1 and its
+    has its sign just right of 1; every family is negative between 1 and its
     smallest root, so the returned value is a base at which the defining
     inequalities hold, never one just past the root.  Deterministic for
     fixed inputs.
 
     Raises NoRootFound when no sign change is seen, which signals either a
-    coefficient bug or insufficient precision, and ValueError unless
-    0 < abs_tol < inf.
+    coefficient bug or insufficient precision, or when ``precision_bits``
+    cannot narrow the bracket further; ValueError unless 0 < abs_tol < inf.
     """
     if not 0 < abs_tol < math.inf:
         raise ValueError("abs_tol must be positive and finite")
@@ -277,16 +292,24 @@ def smallest_root_above_one(spec: PolynomialSpec, abs_tol: float = DEFAULT_ROOT_
             return fj == 0 or (fj < 0) != neg
 
         cells = range(1, len(grid))
-        if descartes_bound_above_one(spec) == 1:
+        single = descartes_bound_above_one(spec) == 1
+        if single:
             j = 1 + bisect.bisect_left(cells, True, key=changed)
         else:
             j = next((j for j in cells if changed(j)), len(grid))
-        if j == len(grid):
+        if j < len(grid):
+            lo, hi = grid[j - 1], grid[j]
+        elif single and (_sign_right_of_one(spec) < 0) != neg:
+            # the only root above 1 lies below the first grid point
+            lo, hi, neg = mpf(1), grid[0], not neg
+        else:
             raise NoRootFound(
                 f"no sign change of {spec.family.value} m={spec.m} in (1,2)")
-        lo, hi = grid[j - 1], grid[j]
-        while hi - lo > tol:
+        while hi - lo > tol or lo == 1:
             mid = (lo + hi) / 2
+            if mid in (lo, hi):
+                raise NoRootFound(f"{precision_bits} bits cannot narrow the root "
+                                  f"of {spec.family.value} m={spec.m} further")
             fm = evaluate_polynomial(spec, mid)
             if fm == 0:
                 # nudge to the negative side of the exact hit

@@ -28,6 +28,7 @@ from betaprefix import (BetaContext, apply_word, best_lower_bounds,
                         local_dimension, measure_interval, measure_monte_carlo,
                         omega_threshold, pair_steering_interval,
                         run_generator_m, run_generator_s3, upper_rate_bounds)
+from betaprefix.bernoulli import METHOD_MONTE_CARLO
 
 PUBLISHED = {
     ("omega", 1): "1.07445",
@@ -386,8 +387,8 @@ def test_criterion_09_bernoulli_consistency(capsys):
         _, bound = local_dim_upper(ctx, m_max=16)
         for i in range(5):
             x = _central_x(rng, ctx)
-            est = local_dimension(ctx, x, 8, 15, samples=1 << 20,
-                                  seed=990 + i)
+            est = local_dimension(ctx, x, 8, 15, method=METHOD_MONTE_CARLO,
+                                  samples=1 << 20, seed=990 + i)
             if not est.slope_upper <= bound + 0.1:
                 bound_failures += 1
     elapsed = time.monotonic() - start

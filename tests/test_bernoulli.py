@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from betaprefix import (BetaContext, DepthExceeded, InvalidPoint,
+from betaprefix import (BetaContext, DepthExceeded, InvalidPoint, bernoulli,
                         local_dimension, measure_interval, measure_monte_carlo)
 from betaprefix.bernoulli import METHOD_MONTE_CARLO, METHOD_RECURSION
 
@@ -158,7 +158,8 @@ class TestMonteCarlo:
 
 class TestLocalDimension:
     def test_monte_carlo_slopes_reasonable(self, ctx15):
-        est = local_dimension(ctx15, 1.1, 8, 16, samples=1 << 20, seed=3)
+        est = local_dimension(ctx15, 1.1, 8, 16, method=METHOD_MONTE_CARLO,
+                              samples=1 << 20, seed=3)
         assert 0.5 < est.slope_lower <= est.slope_upper < 1.5
         assert not est.unstable
         assert len(est.radii) == len(est.log_measures) == 9
@@ -185,7 +186,8 @@ class TestLocalDimension:
             ub = float(ctx.one_over_beta_minus_one)
             for _ in range(2):
                 x = rng.uniform(0.25 * ub, 0.75 * ub)
-                est = local_dimension(ctx, x, 8, 15, samples=1 << 20, seed=11)
+                est = local_dimension(ctx, x, 8, 15, method=METHOD_MONTE_CARLO,
+                                      samples=1 << 20, seed=11)
                 assert est.slope_upper <= bound + 0.1
 
     def test_edge_slope_exceeds_center_slope(self):
@@ -194,11 +196,42 @@ class TestLocalDimension:
         # first seeded run at a base just below the golden ratio
         ctx = BetaContext("1.6")
         ub = float(ctx.one_over_beta_minus_one)
-        center = local_dimension(ctx, ub / 2, 8, 15, samples=1 << 20, seed=5)
-        edge = local_dimension(ctx, ub * 0.985, 8, 15, samples=1 << 20, seed=5)
+        center = local_dimension(ctx, ub / 2, 8, 15, method=METHOD_MONTE_CARLO,
+                                 samples=1 << 20, seed=5)
+        edge = local_dimension(ctx, ub * 0.985, 8, 15, method=METHOD_MONTE_CARLO,
+                               samples=1 << 20, seed=5)
         assert edge.slope_upper > center.slope_upper + 0.05
         assert center.slope_upper == pytest.approx(0.908, abs=0.05)
         assert edge.slope_upper == pytest.approx(1.157, abs=0.07)
+
+    def test_default_is_the_count_at_offset_14(self, ctx15, monkeypatch):
+        est = local_dimension(ctx15, 1.1, 8, 12)
+        assert est == local_dimension(ctx15, 1.1, 8, 12, method=METHOD_RECURSION,
+                                      depth=12 + 14)
+        assert (est.method, est.depth) == (METHOD_RECURSION, 26)
+        # Monte Carlo keeps its own default depth, k_max + 22
+        mc = local_dimension(ctx15, 1.1, 8, 12, method=METHOD_MONTE_CARLO,
+                             samples=4096, seed=2)
+        assert mc == local_dimension(ctx15, 1.1, 8, 12, method=METHOD_MONTE_CARLO,
+                                     depth=12 + 22, samples=4096, seed=2)
+        assert (mc.method, mc.depth) == (METHOD_MONTE_CARLO, 34)
+        # both default depths stop at the cap
+        monkeypatch.setattr(bernoulli, "MAX_DEPTH", 20)
+        assert local_dimension(ctx15, 1.1, 4, 8).depth == 20
+        assert local_dimension(ctx15, 1.1, 4, 8, method=METHOD_MONTE_CARLO,
+                               samples=64).depth == 20
+
+    def test_default_agrees_with_monte_carlo(self):
+        for beta in ("1.3", "1.5", "1.8"):
+            ctx = BetaContext(beta)
+            ub = float(ctx.one_over_beta_minus_one)
+            for frac in (0.3, 0.6):
+                count = local_dimension(ctx, frac * ub, 8, 14)
+                mc = local_dimension(ctx, frac * ub, 8, 14, method=METHOD_MONTE_CARLO,
+                                     samples=1 << 20, seed=7)
+                assert not count.unstable
+                assert count.slope_lower == pytest.approx(mc.slope_lower, abs=0.05)
+                assert count.slope_upper == pytest.approx(mc.slope_upper, abs=0.05)
 
     def test_guards(self, ctx15):
         with pytest.raises(InvalidPoint):

@@ -56,6 +56,14 @@ class TestRoots:
         assert out == ""
         assert json.loads(err)["error"] == "ValueError"
 
+    def test_root_below_the_scan_grid(self, capsys):
+        # the omega_1 root for m = 15000 lies in (1, 1 + 1e-9), left of the
+        # first grid point
+        code, out, err = run_cli(capsys, "roots", "15000", "--format", "records")
+        assert code == 0 and err == ""
+        omega = json.loads(out.splitlines()[0])
+        assert (omega["sequence"], omega["value"]) == ("omega", "1.00000")
+
     def test_records_format(self, capsys):
         code, out, _ = run_cli(capsys, "roots", "1", "2", "--format", "records")
         assert code == 0
@@ -240,19 +248,32 @@ class TestGrowth:
 class TestBernoulli:
     def test_table(self, capsys):
         code, out, _ = run_cli(capsys, "bernoulli", "1.5", "1.1",
-                               "--radii", "8:12", "--samples", "200000")
+                               "--radii", "8:12", "--method", "monte-carlo",
+                               "--samples", "200000")
         assert code == 0
         assert "slope range" in out
         assert "local dim upper bound" in out
 
     def test_records(self, capsys):
         code, out, _ = run_cli(capsys, "bernoulli", "1.5", "1.1",
-                               "--radii", "8:12", "--samples", "100000",
-                               "--format", "records")
+                               "--radii", "8:12", "--method", "monte-carlo",
+                               "--samples", "100000", "--format", "records")
         assert code == 0
         head = json.loads(out.splitlines()[0])
         assert head["kind"] == "local_dim"
         assert head["bound_min"] is not None
+        assert (head["method"], head["depth"]) == ("monte-carlo", 12 + 22)
+
+    def test_default_is_the_count_at_kmax_plus_14(self, capsys):
+        argv = ["bernoulli", "1.5", "1.1", "--radii", "8:14", "--format", "records"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, explicit, _ = run_cli(capsys, *argv, "--method", "recursion",
+                                    "--depth", "28")
+        assert code == 0
+        assert out == explicit
+        head = json.loads(out.splitlines()[0])
+        assert (head["method"], head["depth"]) == ("recursion", 28)
 
     def test_recursion_method(self, capsys):
         code, out, _ = run_cli(capsys, "bernoulli", "1.5", "1.1",

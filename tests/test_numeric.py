@@ -13,7 +13,8 @@ from betaprefix import (BetaContext, NoRootFound, PolynomialFamily,
                         golden_ratio, lambda_threshold, omega_threshold,
                         polynomial_spec, polynomial_string,
                         smallest_root_above_one)
-from betaprefix.numeric import PolynomialSpec, descartes_bound_above_one
+from betaprefix.numeric import (PolynomialSpec, _sign_right_of_one,
+                                descartes_bound_above_one)
 
 # Published threshold values (5 decimal places); the last-digit unit
 # tolerance absorbs the publication rounding.
@@ -251,6 +252,38 @@ class TestRoots:
         assert descartes_bound_above_one(past_two) == 1
         with pytest.raises(NoRootFound):
             smallest_root_above_one(past_two)
+
+    def test_root_below_the_first_grid_point(self):
+        # omega_1 for m = 15000 is positive at 1 + 1e-9 and at every later
+        # grid point; its only root above 1 lies left of the grid
+        spec = polynomial_spec(PolynomialFamily.OMEGA_1, 15000)
+        assert _sign_right_of_one(spec) == -1
+        root = smallest_root_above_one(spec)
+        assert 1 < root <= 1 + mpf(10) ** -9
+        with workprec(160):
+            assert evaluate_polynomial(spec, root) < 0
+        assert omega_threshold(15000) == root
+        # -(x - 1)(10^12 x - 10^12 - 1): positive on (1, 1 + 1e-12)
+        a = 10 ** 12
+        near = PolynomialSpec(PolynomialFamily.OMEGA_3, 1,
+                              ((2, -a), (1, 2 * a + 1), (0, -(a + 1))))
+        assert descartes_bound_above_one(near) == 1
+        assert _sign_right_of_one(near) == 1
+        root = smallest_root_above_one(near)
+        assert 1 < root <= 1 + mpf(10) ** -12
+        assert abs(root - (1 + mpf(10) ** -12)) < 1e-9
+        # a root at 1 + 2^-200 is below the 160-bit resolution
+        closer = PolynomialSpec(PolynomialFamily.OMEGA_3, 1,
+                                ((1, 2 ** 200), (0, -(2 ** 200 + 1))))
+        with pytest.raises(NoRootFound, match="cannot narrow"):
+            smallest_root_above_one(closer)
+
+    def test_sign_right_of_one_reads_higher_derivatives(self):
+        # (x - 1)^2 (x - 3): p(1) = p'(1) = 0 and p''(1) = -4
+        spec = PolynomialSpec(PolynomialFamily.OMEGA_3, 1,
+                              ((3, 1), (2, -5), (1, 7), (0, -3)))
+        assert _sign_right_of_one(spec) == -1
+        assert _sign_right_of_one(polynomial_spec(PolynomialFamily.OMEGA_3, 1)) == -1
 
     def test_rejects_bad_tol(self):
         for tol in (0, -1e-9, math.nan, math.inf):
