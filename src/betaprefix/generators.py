@@ -22,7 +22,9 @@ for each m, the block words with their affine offsets, and per steering
 length the words sorted by offset.  A table whose validation fails is not
 stored, so the failure repeats on every call.  Containment compares a value
 against interval ends widened by the comparison tolerance, ``lo - tol`` and
-``hi + tol``, computed once at the context precision: these are the values
+``hi + tol``, computed once per context at the context precision and kept
+under the interval's name (base, block steering for m, pair steering, core),
+so no lookup hashes an mpf: these are the values
 ``BetaContext.in_interval`` computes, and mpf comparisons are exact at any
 precision, so each decision is the one ``in_interval`` makes.
 
@@ -92,9 +94,12 @@ def _per_context(build):
 
 
 @dataclass(frozen=True)
-class _Widened:
-    """A closed interval as its ends widened by the comparison tolerance."""
+class _Window:
+    """A closed interval [lo, hi] with its ends widened by the comparison
+    tolerance."""
 
+    lo: object
+    hi: object
     lo_w: object
     hi_w: object
 
@@ -102,13 +107,18 @@ class _Widened:
         return self.lo_w <= x <= self.hi_w
 
 
-@_per_context
-def _widened(ctx: BetaContext, lo, hi) -> _Widened:
+def _window(ctx: BetaContext, lo, hi) -> _Window:
     """[lo, hi] widened at the context precision: ``contains(x)`` is the
     decision ``ctx.in_interval(x, lo, hi)`` makes."""
     with workprec(ctx.precision_bits):
         tol = ctx.comparison_tolerance
-        return _Widened(lo - tol, hi + tol)
+        return _Window(lo, hi, lo - tol, hi + tol)
+
+
+@_per_context
+def _base_window(ctx: BetaContext) -> _Window:
+    """The admissible interval [0, 1/(beta-1)], widened."""
+    return _window(ctx, 0, ctx.one_over_beta_minus_one)
 
 
 @_per_context
@@ -145,6 +155,13 @@ def block_steering_interval(ctx: BetaContext, m: int) -> BlockSteeringInterval:
 
 
 @_per_context
+def _block_window(ctx: BetaContext, m: int) -> _Window:
+    """The validated majority-mode steering interval for m, widened."""
+    iv = block_steering_interval(ctx, m)
+    return _window(ctx, iv.lo, iv.hi)
+
+
+@_per_context
 def pair_steering_interval(ctx: BetaContext) -> PairSteeringInterval:
     """Validated steering interval for steered-pair mode, built once per
     context; needs beta below the golden ratio so the interval fits inside
@@ -166,6 +183,14 @@ def pair_steering_interval(ctx: BetaContext) -> PairSteeringInterval:
                                     core_hi=ctx.core_hi, hi=hi)
 
 
+@_per_context
+def _pair_windows(ctx: BetaContext) -> tuple:
+    """The validated pair-mode steering interval and its core two-cycle,
+    widened."""
+    iv = pair_steering_interval(ctx)
+    return _window(ctx, iv.lo, iv.hi), _window(ctx, iv.core_lo, iv.core_hi)
+
+
 def _require_interior(ctx: BetaContext, x):
     tol = ctx.comparison_tolerance
     if not (tol < x < ctx.one_over_beta_minus_one - tol):
@@ -173,10 +198,10 @@ def _require_interior(ctx: BetaContext, x):
             f"x={x} must lie strictly inside (0, 1/(beta-1))")
 
 
-def _lex_smallest_entry(ctx: BetaContext, lo, hi, x, length: int,
+def _lex_smallest_entry(ctx: BetaContext, target: _Window, x, length: int,
                         budget: int = _ENTRY_DFS_BUDGET):
     """Lexicographically smallest admissible word of the given length whose
-    final orbit value lands in [lo, hi] (tolerance-closed).
+    final orbit value lands in the window ``target``.
 
     Depth-first in lex order with interval-reachability pruning: from value
     v with n steps left every reachable final value lies between the all-ones
@@ -186,8 +211,7 @@ def _lex_smallest_entry(ctx: BetaContext, lo, hi, x, length: int,
     """
     ub = ctx.one_over_beta_minus_one
     beta = ctx.beta
-    target = _widened(ctx, lo, hi)
-    base = _widened(ctx, 0, ub)
+    base = _base_window(ctx)
     nodes = 0
     stack = [("", mpf(x))]
     while stack:
@@ -214,9 +238,9 @@ def _lex_smallest_entry(ctx: BetaContext, lo, hi, x, length: int,
     return None
 
 
-def _entry_word(ctx: BetaContext, lo, hi, x, depth_cap: int):
-    """Minimal-length word mapping x into [lo, hi], lexicographically
-    smallest among minimal ones; returns (word, length).
+def _entry_word(ctx: BetaContext, target: _Window, x, depth_cap: int):
+    """Minimal-length word mapping x into the window ``target``,
+    lexicographically smallest among minimal ones; returns (word, length).
 
     Minimality follows from value bounds rather than search: every word
     value at depth j lies between the all-ones and all-zeros compositions,
@@ -224,7 +248,7 @@ def _entry_word(ctx: BetaContext, lo, hi, x, depth_cap: int):
     enters the interval without jumping over it, because the interval
     contains the core two-cycle.
     """
-    target = _widened(ctx, lo, hi)
+    lo, hi = target.lo, target.hi
     with workprec(ctx.precision_bits):
         x = mpf(x)
         _require_interior(ctx, x)
@@ -257,7 +281,7 @@ def _entry_word(ctx: BetaContext, lo, hi, x, depth_cap: int):
         if v < target.lo_w:
             raise Unreachable(
                 f"monotone descent jumped over [{lo}, {hi}] from x={x}")
-        word = _lex_smallest_entry(ctx, lo, hi, x, j)
+        word = _lex_smallest_entry(ctx, target, x, j)
         if word is None:
             # budget exhausted: fall back to the known-good all-ones word
             word = "1" * j
@@ -271,15 +295,13 @@ def _entry_word(ctx: BetaContext, lo, hi, x, depth_cap: int):
 def entry_word_m(ctx: BetaContext, m: int, x):
     """Step-1 entry for majority-block mode: minimal-length word into the
     block steering interval, all intermediate orbit values admissible."""
-    iv = block_steering_interval(ctx, m)
-    return _entry_word(ctx, iv.lo, iv.hi, x, depth_cap=64 * (2 * m + 3))
+    return _entry_word(ctx, _block_window(ctx, m), x, depth_cap=64 * (2 * m + 3))
 
 
 def entry_word_s3(ctx: BetaContext, m: int, x):
     """Step-1 entry for steered-pair mode."""
     _require_pair_mode(ctx, m)
-    iv = pair_steering_interval(ctx)
-    return _entry_word(ctx, iv.lo, iv.hi, x, depth_cap=64 * (m + 4))
+    return _entry_word(ctx, _pair_windows(ctx)[0], x, depth_cap=64 * (m + 4))
 
 
 @_per_context
@@ -335,7 +357,7 @@ def extend_block_m(ctx: BetaContext, m: int, prefix_word: str, orbit):
     for this beta.
     """
     iv = block_steering_interval(ctx, m)
-    iv_w = _widened(ctx, iv.lo, iv.hi)
+    iv_w = _block_window(ctx, m)
     with workprec(ctx.precision_bits):
         orbit = mpf(orbit)
         if not iv_w.contains(orbit):
@@ -365,11 +387,10 @@ def _steering_table(ctx: BetaContext, cache_tag, length: int) -> tuple:
     return [q for q, _ in table], [w for _, w in table]
 
 
-def _steer_into(ctx: BetaContext, lo, hi, value, length: int, cache_tag):
+def _steer_into(ctx: BetaContext, target: _Window, value, length: int, cache_tag):
     """Lexicographically smallest word of the given length whose affine
-    action sends ``value`` into [lo, hi] (tolerance-closed), with the value
-    it lands on."""
-    target = _widened(ctx, lo, hi)
+    action sends ``value`` into the window ``target``, with the value it
+    lands on."""
     if length == 0:
         if target.contains(value):
             return "", value
@@ -382,8 +403,8 @@ def _steer_into(ctx: BetaContext, lo, hi, value, length: int, cache_tag):
     end = bisect.bisect_right(offsets, target.hi_w, lo=first, key=landing)
     if first == end:
         raise NoSteeringWord(
-            f"no word of length {length} steers {value} back into [{lo}, {hi}] "
-            f"at beta={ctx.beta}")
+            f"no word of length {length} steers {value} back into "
+            f"[{target.lo}, {target.hi}] at beta={ctx.beta}")
     k = min(range(first, end), key=words.__getitem__)
     return words[k], base + offsets[k]
 
@@ -401,15 +422,13 @@ def extend_block_s3(ctx: BetaContext, m: int, prefix_word: str, orbit):
     differ at the branch position.
     """
     _require_pair_mode(ctx, m)
-    iv = pair_steering_interval(ctx)
-    iv_w = _widened(ctx, iv.lo, iv.hi)
-    core_w = _widened(ctx, iv.core_lo, iv.core_hi)
-    base_w = _widened(ctx, 0, ctx.one_over_beta_minus_one)
+    iv_w, core_w = _pair_windows(ctx)
+    base_w = _base_window(ctx)
     with workprec(ctx.precision_bits):
         orbit = mpf(orbit)
         if not iv_w.contains(orbit):
             raise InvalidPoint(
-                f"orbit {orbit} outside steering interval [{iv.lo}, {iv.hi}]")
+                f"orbit {orbit} outside steering interval [{iv_w.lo}, {iv_w.hi}]")
         beta = ctx.beta
         forced = ""
         v = orbit
@@ -438,8 +457,7 @@ def extend_block_s3(ctx: BetaContext, m: int, prefix_word: str, orbit):
                 raise ContainmentViolation(
                     f"branch digit {digit} leaves the admissible interval from "
                     f"core value {v} at beta={beta}")
-            steer, vf = _steer_into(ctx, iv.lo, iv.hi, vb, steer_len,
-                                    cache_tag="steer_s3")
+            steer, vf = _steer_into(ctx, iv_w, vb, steer_len, cache_tag="steer_s3")
             out.append((forced + digit + steer, vf))
         words = [w for w, _ in out]
         if words[0][k] == words[1][k]:

@@ -1,6 +1,7 @@
 """High-precision scalar core: the base context, the two expanding maps,
 sparse integer polynomials and root finding certified by Descartes' rule
-of signs.
+of signs, with every sign of the search certified by an error bound or
+taken exactly.
 
 Everything orbit-related is computed in software floating point (mpmath) at
 the context's working precision.  64-bit doubles misclassify interval
@@ -187,6 +188,63 @@ def evaluate_polynomial(spec: PolynomialSpec, x):
     return total
 
 
+def _exact_sign(spec: PolynomialSpec, x) -> int:
+    """Sign of p(x) for an mpf x, in integers: x = a / 2^k makes
+    2^(k deg) p(x) = sum c_e a^e 2^(k (deg - e)) an integer."""
+    sign, man, exp, _ = x._mpf_
+    a, k = (man << exp, 0) if exp >= 0 else (man, -exp)
+    a = -a if sign else a
+    deg = spec.coefficients[0][0]
+    total = sum(c * a ** e << k * (deg - e) for e, c in spec.coefficients)
+    return (total > 0) - (total < 0)
+
+
+@dataclass
+class RootSearchCounts:
+    """Counts kept over the life of the process; read them as differences.
+
+    ``exact_signs``: root-search signs that the floating evaluation could
+    not certify and that :func:`_exact_sign` settled instead."""
+
+    exact_signs: int = 0
+
+
+ROOT_SEARCH_COUNTS = RootSearchCounts()
+
+
+def _sign_slack(spec: PolynomialSpec, precision_bits: int):
+    """(terms + 4) 2^(1-prec) sum |c_e|: times x^deg, a bound on the error
+    of a ``precision_bits`` evaluation of p at x >= 1 (see
+    :func:`_certified_sign`)."""
+    with workprec(precision_bits):
+        return (mpf(len(spec.coefficients) + 4) * 2 ** (1 - precision_bits)
+                * sum(abs(c) for _, c in spec.coefficients))
+
+
+def _certified_sign(spec: PolynomialSpec, x, slack) -> int:
+    """Sign of p(x) for an mpf x >= 1, evaluated at the ambient precision
+    like :func:`evaluate_polynomial` and certified by an error bound.
+
+    Each power, product by an integer coefficient and partial sum is
+    rounded once, with relative error at most 2^-prec, and every partial
+    sum is at most sum |c_e| x^e <= sum |c_e| x^deg.  So the floating sum is
+    within (terms + 2) 2^-prec sum |c_e| x^deg of p(x).  ``slack`` times
+    x^deg, from :func:`_sign_slack`, is twice that, which also covers the
+    rounding of the bound itself.  A sum beyond the bound has the sign of
+    p(x); any other is settled by :func:`_exact_sign` and counted in
+    ``ROOT_SEARCH_COUNTS.exact_signs``.
+    """
+    (deg, lead), *rest = spec.coefficients
+    top = x ** deg
+    total = lead * top
+    for e, c in rest:
+        total += c * x ** e
+    if abs(total) > slack * top:
+        return 1 if total > 0 else -1
+    ROOT_SEARCH_COUNTS.exact_signs += 1
+    return _exact_sign(spec, x)
+
+
 def polynomial_string(spec: PolynomialSpec) -> str:
     """ASCII rendering like ``x^7-x^4-x^3-x^2+x+1``."""
     parts = []
@@ -256,12 +314,14 @@ def smallest_root_above_one(spec: PolynomialSpec, abs_tol: float = DEFAULT_ROOT_
 
     Finds the first cell of the scan grid (1 + 1e-9, then steps of 1e-3 up
     to 2) at whose right end the polynomial is zero or has changed sign,
-    and bisects that cell down to width ``abs_tol``.  When
+    and bisects that cell down to width ``abs_tol``.  Every sign is exact:
+    a ``precision_bits`` evaluation decides it when its error bound allows,
+    and integer arithmetic otherwise (:func:`_certified_sign`).  When
     :func:`descartes_bound_above_one` is 1 the polynomial changes sign at
     most once above 1, so the cell is found by bisection over grid indices
     and holds the only root above 1.  Otherwise the grid is walked in order,
     which finds the first of several sign changes.  Both searches find the
-    same cell whenever the signs computed at the grid points are exact.
+    same cell, because the signs are exact.
     When the bound is 1 and the grid shows no sign change, but the exact
     sign of p just right of 1 (:func:`_sign_right_of_one`) differs from its
     sign at 1 + 1e-9, the root lies in (1, 1 + 1e-9] and that cell is
@@ -282,14 +342,15 @@ def smallest_root_above_one(spec: PolynomialSpec, abs_tol: float = DEFAULT_ROOT_
     grid = _scan_grid(precision_bits)
     with workprec(precision_bits):
         tol = mpf(abs_tol)
-        f0 = evaluate_polynomial(spec, grid[0])
-        if f0 == 0:
+        slack = _sign_slack(spec, precision_bits)
+        s0 = _certified_sign(spec, grid[0], slack)
+        if s0 == 0:
             return grid[0]
-        neg = f0 < 0
+        neg = s0 < 0
 
         def changed(j):
-            fj = evaluate_polynomial(spec, grid[j])
-            return fj == 0 or (fj < 0) != neg
+            sj = _certified_sign(spec, grid[j], slack)
+            return sj == 0 or (sj < 0) != neg
 
         cells = range(1, len(grid))
         single = descartes_bound_above_one(spec) == 1
@@ -310,12 +371,12 @@ def smallest_root_above_one(spec: PolynomialSpec, abs_tol: float = DEFAULT_ROOT_
             if mid in (lo, hi):
                 raise NoRootFound(f"{precision_bits} bits cannot narrow the root "
                                   f"of {spec.family.value} m={spec.m} further")
-            fm = evaluate_polynomial(spec, mid)
-            if fm == 0:
+            sm = _certified_sign(spec, mid, slack)
+            if sm == 0:
                 # nudge to the negative side of the exact hit
                 hi = mid
                 continue
-            if (fm < 0) == neg:
+            if (sm < 0) == neg:
                 lo = mid
             else:
                 hi = mid

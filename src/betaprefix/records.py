@@ -3,7 +3,12 @@
 The records format is one JSON object per line with a ``kind`` field; the
 field schemas are documented in the README.  Real numbers are emitted as
 decimal strings with enough digits to round-trip at the producing context's
-binary precision.
+binary precision: :func:`real_repr` rounds the value once to that precision
+and prints it with mpmath's ``libmp.to_str``, the formatter behind
+``mp.nstr``.  :func:`to_jsonl` writes each line as
+``json.dumps(record, sort_keys=True)`` would; the ``stage_word`` lines,
+nearly all of a generator run's output, come from one template with the
+same key order and separators.
 """
 
 from __future__ import annotations
@@ -11,7 +16,8 @@ from __future__ import annotations
 import json
 import math
 
-from mpmath import mp, mpf, workprec
+from mpmath import mpf, workprec
+from mpmath.libmp import mpf_pos, round_nearest, to_str
 
 from .bernoulli import MeasureEstimate
 from .bounds import BoundReport
@@ -21,10 +27,23 @@ from .prefixes import GrowthEstimate, PrefixSet
 
 
 def real_repr(value, precision_bits: int = DEFAULT_PRECISION_BITS) -> str:
-    """Decimal string with enough digits to round-trip the binary value."""
+    """Decimal string with enough digits to round-trip the binary value.
+
+    The value is rounded to nearest at ``precision_bits`` (an mpf that
+    already fits is unchanged; a str, int or float is converted as
+    ``mpf(value)`` at that precision) and printed by ``libmp.to_str`` with
+    ``ceil(precision_bits * log10(2)) + 2`` significant digits, trailing
+    zeros stripped.  That is the string ``mp.nstr`` gives for
+    ``mpf(value)`` under ``workprec(precision_bits)``, without entering the
+    context.
+    """
     digits = math.ceil(precision_bits * math.log10(2)) + 2
-    with workprec(precision_bits):
-        return mp.nstr(mpf(value), digits, strip_zeros=True)
+    if type(value) is mpf:
+        raw = mpf_pos(value._mpf_, precision_bits, round_nearest)
+    else:
+        with workprec(precision_bits):
+            raw = mpf(value)._mpf_
+    return to_str(raw, digits, strip_zeros=True)
 
 
 def parse_real(text: str, precision_bits: int = DEFAULT_PRECISION_BITS):
@@ -175,4 +194,12 @@ def growth_records(est: GrowthEstimate) -> list:
 
 
 def to_jsonl(records: list) -> str:
-    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+    """One ``json.dumps(rec, sort_keys=True)`` line per record.  A
+    ``stage_word`` record holds two strings that need no JSON escaping, a
+    0/1 word and a decimal orbit value, so its line is filled into a
+    template with the sorted keys and ``json.dumps`` separators."""
+    return "".join(
+        f'{{"kind": "stage_word", "orbit_value": "{rec["orbit_value"]}", '
+        f'"stage": {rec["stage"]}, "word": "{rec["word"]}"}}\n'
+        if rec["kind"] == "stage_word" else json.dumps(rec, sort_keys=True) + "\n"
+        for rec in records)

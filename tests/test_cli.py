@@ -393,3 +393,20 @@ def test_csv_and_table_agree_with_records(capsys, command):
                 assert cell == str(value)
     for text in headlines_of(recs):
         assert text in out["table"]
+
+
+# SHA-256 of the records output, frozen before ``real_repr`` moved from
+# ``mp.nstr`` under ``workprec`` to ``libmp.to_str``: prefix orbit values and
+# ``beta`` fields must not change a digit.
+@pytest.mark.parametrize("argv, digest", [
+    (["count", "omega:1", "0.5", "20", "--precision-bits", "96"],
+     "e38adf4785933201f11e420334cb2ccc7a48a92e4b39dd7d11b859fc3dc6796d"),
+    (["bounds", "lambda:2", "--m-max", "8"],
+     "14d83245f4c64f13da70ee229382f2f13fc3e6db2b8e94dab9ba0ac82e3dd730"),
+    (["growth", "1.3", "0.9", "16", "--m-max", "8"],
+     "a66eb0d26a302b6eb9fe48a642436e05f9bce2dce4ceec4614e58e4b0b3a5062"),
+], ids=["count", "bounds", "growth"])
+def test_records_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv, "--format", "records")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

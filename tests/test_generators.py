@@ -316,7 +316,8 @@ class TestExtendBlockS3:
         ctx = BetaContext("1.4")
         iv = pair_steering_interval(ctx)
         with pytest.raises(NoSteeringWord):
-            gn._steer_into(ctx, iv.lo, iv.hi, iv.hi * 2, 0, cache_tag="test")
+            gn._steer_into(ctx, gn._pair_windows(ctx)[0], iv.hi * 2, 0,
+                           cache_tag="test")
 
 
 def _scan_steer(ctx, lo, hi, value, length):
@@ -368,6 +369,7 @@ def test_steer_bisection_matches_linear_scan(beta, precision, rng):
         ctx = BetaContext(beta, precision_bits=precision,
                           comparison_tolerance=tolerance)
         iv = pair_steering_interval(ctx)
+        window = gn._pair_windows(ctx)[0]
         tol = ctx.comparison_tolerance
         with workprec(precision):
             ends = (iv.lo - tol, iv.hi + tol)
@@ -377,10 +379,10 @@ def test_steer_bisection_matches_linear_scan(beta, precision, rng):
                         want = _scan_steer(ctx, iv.lo, iv.hi, value, length)
                     except NoSteeringWord:
                         with pytest.raises(NoSteeringWord):
-                            gn._steer_into(ctx, iv.lo, iv.hi, value, length,
+                            gn._steer_into(ctx, window, value, length,
                                            cache_tag="test")
                         continue
-                    got = gn._steer_into(ctx, iv.lo, iv.hi, value, length,
+                    got = gn._steer_into(ctx, window, value, length,
                                          cache_tag="test")
                     assert got[0] == want[0] and got[1] == want[1]
                     on_end += want[1] in ends

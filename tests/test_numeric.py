@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,9 @@ from betaprefix import (BetaContext, NoRootFound, PolynomialFamily,
                         golden_ratio, lambda_threshold, omega_threshold,
                         polynomial_spec, polynomial_string,
                         smallest_root_above_one)
-from betaprefix.numeric import (PolynomialSpec, _sign_right_of_one,
-                                descartes_bound_above_one)
+from betaprefix.numeric import (ROOT_SEARCH_COUNTS, PolynomialSpec,
+                                _certified_sign, _exact_sign, _sign_right_of_one,
+                                _sign_slack, descartes_bound_above_one)
 
 # Published threshold values (5 decimal places); the last-digit unit
 # tolerance absorbs the publication rounding.
@@ -303,11 +305,61 @@ class TestRoots:
                 assert descartes_bound_above_one(polynomial_spec(family, m)) == 1
 
     def test_certified_search_matches_linear_scan(self):
+        before = ROOT_SEARCH_COUNTS.exact_signs
         for family in PolynomialFamily:
             for m in range(1, 65):
                 spec = polynomial_spec(family, m)
                 assert (smallest_root_above_one(spec)._mpf_
                         == _linear_scan_root(spec)._mpf_), (family, m)
+        # every sign of the family searches was certified by its error bound
+        assert ROOT_SEARCH_COUNTS.exact_signs == before
+
+    def test_cancelling_evaluation_takes_the_exact_sign(self):
+        # -(x - 1)(10^60 x - 10^60 - 1) has its root at 1 + 1e-60 and is
+        # positive on (1, 1 + 1e-60); evaluations cancel some 120 digits
+        a = 10 ** 60
+        spec = PolynomialSpec(PolynomialFamily.OMEGA_3, 1,
+                              ((2, -a), (1, 2 * a + 1), (0, -(a + 1))))
+        before = ROOT_SEARCH_COUNTS.exact_signs
+        root = smallest_root_above_one(spec, precision_bits=256)
+        assert ROOT_SEARCH_COUNTS.exact_signs > before
+        with workprec(256):
+            assert 1 < root < 1 + mpf(10) ** -60
+        assert _exact_sign(spec, root) == 1
+        # 160 bits cannot represent a value in (1, 1 + 1e-60]
+        with pytest.raises(NoRootFound, match="cannot narrow"):
+            smallest_root_above_one(spec)
+
+    @pytest.mark.parametrize("precision", [53, 160, 256])
+    def test_certified_sign_is_exact_near_a_root(self, precision, rng):
+        # roots 1e-60 apart at 1, and roots 5e-31 apart at 1.5 times x^40,
+        # whose terms are far larger than their coefficients
+        a, b = 10 ** 60, 10 ** 30
+        pairs = [(1, PolynomialSpec(PolynomialFamily.OMEGA_3, 1,
+                                    ((2, -a), (1, 2 * a + 1), (0, -(a + 1))))),
+                 (1.5, PolynomialSpec(PolynomialFamily.OMEGA_3, 1,
+                                      ((42, 4 * b), (41, -(12 * b + 2)),
+                                       (40, 9 * b + 3))))]
+        for center, spec in pairs:
+            slack = _sign_slack(spec, precision)
+            with workprec(precision):
+                for _ in range(200):
+                    x = center + mpf(10) ** -rng.uniform(0, 80)
+                    assert _certified_sign(spec, x, slack) == _exact_sign(spec, x)
+
+    def test_exact_sign_matches_fractions(self, rng):
+        for _ in range(200):
+            coefficients = tuple(sorted(
+                {rng.randint(0, 40): rng.randint(-10 ** 6, 10 ** 6)
+                 for _ in range(4)}.items(), reverse=True))
+            spec = PolynomialSpec(PolynomialFamily.OMEGA_3, 1, coefficients)
+            man = (rng.getrandbits(60) | 1) * rng.choice((1, 1, 1, -1))
+            exp = rng.randint(-70, 4)
+            x = mpf((man, exp))
+            q = man * Fraction(2) ** exp
+            value = sum(c * q ** e for e, c in coefficients)
+            assert _exact_sign(spec, x) == (value > 0) - (value < 0)
+        assert _exact_sign(polynomial_spec(PolynomialFamily.LAMBDA, 2), mpf(1)) == 0
 
     def test_root_at_one_is_divided_out(self):
         # -(x - 1)(2x - 3): two sign variations, less the root at 1

@@ -1,19 +1,37 @@
 """Round-trip tests for the serialization formats."""
 
 import json
+import math
 
 import pytest
-from mpmath import mpf, workprec
+from mpmath import mp, mpf, workprec
 
 from betaprefix import (BetaContext, bound_report, enumerate_prefixes_direct,
-                        growth_estimate, measure_monte_carlo, run_generator_m,
-                        omega_threshold)
+                        growth_estimate, lambda_threshold, measure_monte_carlo,
+                        omega_threshold, run_generator_m, run_generator_s3)
 from betaprefix.records import (bound_report_records, generator_run_records,
                                 growth_records, measure_records, parse_measure_record,
                                 parse_prefix_set_lines,
                                 parse_prefix_set_records, parse_real,
                                 prefix_set_lines, prefix_set_records,
                                 real_repr, to_jsonl)
+
+
+def _nstr_reference(value, precision_bits):
+    """The formula ``real_repr`` replaced: ``mp.nstr`` of ``mpf(value)``
+    under ``workprec``."""
+    digits = math.ceil(precision_bits * math.log10(2)) + 2
+    with workprec(precision_bits):
+        return mp.nstr(mpf(value), digits, strip_zeros=True)
+
+
+def _random_mpf(rng, bits):
+    """A signed mpf with a full ``bits``-bit mantissa, of magnitude between
+    2^-300 and 2^300."""
+    man = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+    with workprec(bits):
+        v = mpf((man, rng.randint(-300, 300) - bits))
+    return -v if rng.random() < 0.5 else v
 
 
 class TestRealRepr:
@@ -23,6 +41,56 @@ class TestRealRepr:
                 v = mpf(rng.random()) * mpf(rng.randint(1, 5))
                 text = real_repr(v, 128)
                 assert parse_real(text, 128) == v
+
+    @pytest.mark.parametrize("bits", [53, 96, 128, 200])
+    def test_matches_nstr_under_workprec(self, rng, bits):
+        texts = []
+        for _ in range(300):
+            v = _random_mpf(rng, bits)
+            texts.append(real_repr(v, bits))
+            assert texts[-1] == _nstr_reference(v, bits)
+        # both printing forms were exercised, with both exponent signs
+        assert any("e-" in t for t in texts) and any("e+" in t for t in texts)
+        assert any("e" not in t for t in texts)
+
+    @pytest.mark.parametrize("value", [
+        0, mpf(0), mpf(-1), mpf("-0.75"), mpf(2) ** -20, mpf("9.9e-6"),
+        mpf("1.2e-5"), mpf(10) ** 40, mpf("1.5e40"), -mpf(3) ** 90,
+        mpf(2) ** 300])
+    def test_edge_values(self, value):
+        for bits in (53, 128):
+            assert real_repr(value, bits) == _nstr_reference(value, bits)
+
+    def test_rounds_wider_mpfs_to_the_precision(self, rng):
+        rounded_away = 0
+        for _ in range(200):
+            v = _random_mpf(rng, 256)
+            assert real_repr(v, 128) == _nstr_reference(v, 128)
+            rounded_away += real_repr(v, 128) != real_repr(v, 256)
+        assert rounded_away > 150
+
+    @pytest.mark.parametrize("value", [
+        7, -3, 2 ** 200 + 1, 10 ** 45, 0.1, -2.5e-7, 1e300, 5e-324,
+        "0.1", "1e-30", "-12345.678e50", "1.4655712309346923925041481699668739"])
+    def test_str_int_and_float_inputs(self, value):
+        for bits in (53, 96, 128):
+            assert real_repr(value, bits) == _nstr_reference(value, bits)
+
+
+def _json_dumps_lines(recs):
+    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in recs)
+
+
+@pytest.mark.parametrize("run_of", [
+    lambda: (BetaContext(1 + 0.7 * (float(omega_threshold(1)) - 1)), 1, 1.0, 3,
+             run_generator_m),
+    lambda: (BetaContext(lambda_threshold(2)), 2, 0.9, 5, run_generator_s3),
+], ids=["majority", "steered-pair"])
+def test_to_jsonl_equals_json_dumps(run_of):
+    ctx, m, x, blocks, run_fn = run_of()
+    recs = generator_run_records(run_fn(ctx, m, x, blocks), ctx.beta, 128)
+    assert sum(r["kind"] == "stage_word" for r in recs) > 30
+    assert to_jsonl(recs) == _json_dumps_lines(recs)
 
 
 class TestPrefixSetFormats:
