@@ -22,6 +22,7 @@ from mpmath import mp, mpf, workprec
 from .errors import CapExceeded, OutOfDomain
 from .numeric import (BetaContext, golden_ratio, lambda_threshold,
                       omega_threshold)
+from .prefixes import _digit_sums
 
 DEFAULT_M_MAX = 64
 SEPARATION_M_CAP = 20
@@ -90,7 +91,7 @@ def kappa_lower_bound(ctx: BetaContext) -> float:
         return 0.5 / (fl + 1)
 
 
-def _walk_thresholds(ctx: BetaContext, m_max: int, abs_tol: float) -> tuple:
+def _walk_thresholds(ctx: BetaContext, m_max: int) -> tuple:
     """One walk of the generator thresholds up to index m_max, as
     (omega_pick, lambda_pick, kappa); each pick is (m, threshold) or None,
     and kappa is None from the golden ratio up.
@@ -108,13 +109,13 @@ def _walk_thresholds(ctx: BetaContext, m_max: int, abs_tol: float) -> tuple:
         kappa = kappa_lower_bound(ctx)
     omega_pick = None
     for m in range(1, m_max + 1):
-        threshold = omega_threshold(m, abs_tol)
+        threshold = omega_threshold(m)
         if beta > threshold:
             break  # thresholds decrease; no larger m can qualify
         omega_pick = (m, threshold)
     lambda_pick = None
     for m in range(1, m_max + 1):
-        threshold = lambda_threshold(m, abs_tol)
+        threshold = lambda_threshold(m)
         if beta <= threshold:
             lambda_pick = (m, threshold)
             break  # thresholds increase; the first hit is the best bound
@@ -139,11 +140,10 @@ def _lower_bounds(ctx: BetaContext, walk: tuple) -> BoundReport:
                        upper_bounds=(), local_dim_upper=(), local_dim_min=None)
 
 
-def best_lower_bounds(ctx: BetaContext, m_max: int = DEFAULT_M_MAX,
-                      abs_tol: float = 1e-9) -> BoundReport:
+def best_lower_bounds(ctx: BetaContext, m_max: int = DEFAULT_M_MAX) -> BoundReport:
     """Lower-bound fragment of the report: kappa plus the best generator
     bounds up to index m_max."""
-    return _lower_bounds(ctx, _walk_thresholds(ctx, m_max, abs_tol))
+    return _lower_bounds(ctx, _walk_thresholds(ctx, m_max))
 
 
 def upper_rate_bound(m: int):
@@ -186,9 +186,7 @@ def separation_holds(ctx: BetaContext, m: int) -> bool:
     if m > SEPARATION_M_CAP:
         raise CapExceeded(f"separation check capped at m={SEPARATION_M_CAP}")
     beta = float(ctx.beta)
-    sums = np.zeros(1)
-    for j in range(1, m + 1):
-        sums = np.concatenate([sums, sums + beta ** -j])
+    sums = _digit_sums(beta, 1, m)
     sums.sort()
     threshold = 1.0 / (2.0 * beta ** m * (beta - 1.0))
     return bool(np.diff(sums).min() > threshold)
@@ -250,8 +248,7 @@ def _local_dim_bounds(ctx: BetaContext, walk: tuple) -> tuple:
     return tuple(candidates), minimum
 
 
-def local_dim_upper(ctx: BetaContext, m_max: int = DEFAULT_M_MAX,
-                    abs_tol: float = 1e-9) -> tuple:
+def local_dim_upper(ctx: BetaContext, m_max: int = DEFAULT_M_MAX) -> tuple:
     """All applicable upper bounds for the upper local dimension of the
     fair-coin convolution at this base, as (candidates, minimum).
 
@@ -260,14 +257,13 @@ def local_dim_upper(ctx: BetaContext, m_max: int = DEFAULT_M_MAX,
     beta at most the lambda threshold, and (1 - kappa) log_beta 2 below the
     golden ratio.
     """
-    return _local_dim_bounds(ctx, _walk_thresholds(ctx, m_max, abs_tol))
+    return _local_dim_bounds(ctx, _walk_thresholds(ctx, m_max))
 
 
-def bound_report(ctx: BetaContext, m_max: int = DEFAULT_M_MAX,
-                 abs_tol: float = 1e-9) -> BoundReport:
+def bound_report(ctx: BetaContext, m_max: int = DEFAULT_M_MAX) -> BoundReport:
     """The full report: lower bounds, upper bounds and local-dimension
     bounds for one base."""
-    walk = _walk_thresholds(ctx, m_max, abs_tol)
+    walk = _walk_thresholds(ctx, m_max)
     cands, dim_min = _local_dim_bounds(ctx, walk)
     return replace(_lower_bounds(ctx, walk), upper_bounds=upper_rate_bounds(ctx),
                    local_dim_upper=cands, local_dim_min=dim_min)

@@ -31,9 +31,9 @@ from . import records as rc
 from .errors import (BetaPrefixError, CapExceeded, ContainmentViolation,
                      DepthExceeded, InvalidPoint, MemoryGuard, NoRootFound,
                      NoSteeringWord, OutOfDomain, Unreachable)
-from .numeric import (DEFAULT_PRECISION_BITS, BetaContext, PolynomialFamily,
-                      lambda_threshold, omega_threshold, polynomial_spec,
-                      polynomial_string)
+from .numeric import (DEFAULT_PRECISION_BITS, DEFAULT_ROOT_TOL, BetaContext,
+                      PolynomialFamily, lambda_threshold, omega_threshold,
+                      polynomial_spec, polynomial_string)
 
 PRECISION_ENV = "BETAPREFIX_PRECISION"
 TABLE_M_VALUES = (1, 2, 3, 10, 100)
@@ -60,16 +60,16 @@ def _default_precision() -> int:
     return DEFAULT_PRECISION_BITS
 
 
-def parse_scalar(text: str, precision_bits: int, abs_tol: float = 1e-9):
+def parse_scalar(text: str, precision_bits: int):
     """Decimal string or ``omega:M`` / ``lambda:M`` symbolic form."""
     text = text.strip()
     if ":" in text:
         name, _, mtxt = text.partition(":")
         m = int(mtxt)
         if name == "omega":
-            return omega_threshold(m, abs_tol)
+            return omega_threshold(m)
         if name == "lambda":
-            return lambda_threshold(m, abs_tol)
+            return lambda_threshold(m)
         raise ValueError(f"unknown symbolic scalar {text!r}")
     with workprec(precision_bits):
         return mpf(text)
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", nargs="*", type=int, help="indices (default 1 2 3 10 100)")
     p.add_argument("--reproduce-tables", action="store_true",
                    help="emit the published threshold tables layout")
-    p.add_argument("--abs-tol", type=float, default=1e-9)
+    p.add_argument("--abs-tol", type=float, default=DEFAULT_ROOT_TOL)
     p.set_defaults(fn=cmd_roots, csv=roots_csv, table=roots_table)
 
     p = sub.add_parser("count", parents=[common], help="count k-prefixes")

@@ -17,16 +17,11 @@ Orbit containment is asserted for every extension; a violation falsifies
 the defining polynomial inequality for the given beta and aborts loudly.
 
 Each context builds its generator tables once, in ``ctx.cache``, and every
-extension reads them: the validated steering intervals, the pair-mode check
-for each m, the block words with their affine offsets, and per steering
-length the words sorted by offset.  A table whose validation fails is not
-stored, so the failure repeats on every call.  Containment compares a value
-against interval ends widened by the comparison tolerance, ``lo - tol`` and
-``hi + tol``, computed once per context at the context precision and kept
-under the interval's name (base, block steering for m, pair steering, core),
-so no lookup hashes an mpf: these are the values
-``BetaContext.in_interval`` computes, and mpf comparisons are exact at any
-precision, so each decision is the one ``in_interval`` makes.
+extension reads them: the validated steering intervals with their
+containment windows (``numeric.Window``), the pair-mode check for each m,
+the block words with their affine offsets, and per steering length the
+words sorted by offset.  A table whose validation fails is not stored, so
+the failure repeats on every call.
 
 A steering word of length L acts on an orbit value v as beta^L * v + q.
 Rounding ``beta^L * v + q`` is monotone in the offset q, so the words that
@@ -47,10 +42,10 @@ from mpmath import mpf, workprec
 
 from .errors import (ContainmentViolation, InvalidPoint, MemoryGuard,
                      NoSteeringWord, OutOfDomain, Unreachable)
-from .numeric import (BetaContext, apply_word, golden_ratio, lambda_threshold,
-                      omega_threshold)
+from .numeric import (BetaContext, Window, apply_word, golden_ratio,
+                      lambda_threshold, omega_threshold)
+from .prefixes import DEFAULT_SURVIVOR_CAP
 
-DEFAULT_SURVIVOR_CAP = 10_000_000
 _ENTRY_DFS_BUDGET = 2_000_000
 
 MODE_MAJORITY = "m"
@@ -60,23 +55,28 @@ MODE_STEERED_PAIR = "s3"
 @dataclass(frozen=True)
 class BlockSteeringInterval:
     """Steering interval for majority-block mode: [lo, hi] with the pivot
-    splitting it into the zeros-heavy and ones-heavy halves."""
+    splitting it into the zeros-heavy and ones-heavy halves, and its
+    containment window."""
 
     m: int
     lo: object
     pivot: object
     hi: object
+    window: Window
 
 
 @dataclass(frozen=True)
 class PairSteeringInterval:
     """Steering interval for steered-pair mode, with the inner core
-    two-cycle [core_lo, core_hi] that orbits cannot jump over."""
+    two-cycle [core_lo, core_hi] that orbits cannot jump over, and the
+    containment windows of both."""
 
     lo: object
     core_lo: object
     core_hi: object
     hi: object
+    window: Window
+    core: Window
 
 
 def _per_context(build):
@@ -91,34 +91,6 @@ def _per_context(build):
             got = ctx.cache[key] = build(ctx, *args, **kwargs)
         return got
     return cached
-
-
-@dataclass(frozen=True)
-class _Window:
-    """A closed interval [lo, hi] with its ends widened by the comparison
-    tolerance."""
-
-    lo: object
-    hi: object
-    lo_w: object
-    hi_w: object
-
-    def contains(self, x) -> bool:
-        return self.lo_w <= x <= self.hi_w
-
-
-def _window(ctx: BetaContext, lo, hi) -> _Window:
-    """[lo, hi] widened at the context precision: ``contains(x)`` is the
-    decision ``ctx.in_interval(x, lo, hi)`` makes."""
-    with workprec(ctx.precision_bits):
-        tol = ctx.comparison_tolerance
-        return _Window(lo, hi, lo - tol, hi + tol)
-
-
-@_per_context
-def _base_window(ctx: BetaContext) -> _Window:
-    """The admissible interval [0, 1/(beta-1)], widened."""
-    return _window(ctx, 0, ctx.one_over_beta_minus_one)
 
 
 @_per_context
@@ -142,9 +114,10 @@ def block_steering_interval(ctx: BetaContext, m: int) -> BlockSteeringInterval:
         denom = ctx.beta * ctx.beta - 1
         lo = (-b2m2 + ctx.beta + 1) / denom
         hi = b2m2 / denom
-        iv = BlockSteeringInterval(m=m, lo=lo, pivot=ctx.core_lo, hi=hi)
+        iv = BlockSteeringInterval(m=m, lo=lo, pivot=ctx.core_lo, hi=hi,
+                                   window=ctx.window(lo, hi))
         tol = ctx.comparison_tolerance
-        if not (-tol <= lo < ctx.core_lo < hi <= ctx.one_over_beta_minus_one + tol):
+        if not (ctx.base.lo_w <= lo < ctx.core_lo < hi <= ctx.base.hi_w):
             raise ContainmentViolation(
                 f"steering interval endpoints out of order for m={m}, beta={ctx.beta}")
         if abs(apply_word(ctx, "1" * (2 * m + 1), ctx.core_lo) - lo) > tol:
@@ -152,13 +125,6 @@ def block_steering_interval(ctx: BetaContext, m: int) -> BlockSteeringInterval:
         if abs(apply_word(ctx, "0" * (2 * m + 1), ctx.core_hi) - hi) > tol:
             raise ContainmentViolation("upper endpoint does not match its map image")
         return iv
-
-
-@_per_context
-def _block_window(ctx: BetaContext, m: int) -> _Window:
-    """The validated majority-mode steering interval for m, widened."""
-    iv = block_steering_interval(ctx, m)
-    return _window(ctx, iv.lo, iv.hi)
 
 
 @_per_context
@@ -174,21 +140,14 @@ def pair_steering_interval(ctx: BetaContext) -> PairSteeringInterval:
         denom = b * b - 1
         lo = (1 + b - b * b) / denom
         hi = (b * b) / denom
-        tol = ctx.comparison_tolerance
-        if not (-tol <= lo <= ctx.core_lo <= ctx.core_hi <= hi
-                <= ctx.one_over_beta_minus_one + tol):
+        if not (ctx.base.lo_w <= lo <= ctx.core_lo <= ctx.core_hi <= hi
+                <= ctx.base.hi_w):
             raise ContainmentViolation(
                 f"pair steering interval endpoints out of order for beta={ctx.beta}")
         return PairSteeringInterval(lo=lo, core_lo=ctx.core_lo,
-                                    core_hi=ctx.core_hi, hi=hi)
-
-
-@_per_context
-def _pair_windows(ctx: BetaContext) -> tuple:
-    """The validated pair-mode steering interval and its core two-cycle,
-    widened."""
-    iv = pair_steering_interval(ctx)
-    return _window(ctx, iv.lo, iv.hi), _window(ctx, iv.core_lo, iv.core_hi)
+                                    core_hi=ctx.core_hi, hi=hi,
+                                    window=ctx.window(lo, hi),
+                                    core=ctx.window(ctx.core_lo, ctx.core_hi))
 
 
 def _require_interior(ctx: BetaContext, x):
@@ -198,7 +157,7 @@ def _require_interior(ctx: BetaContext, x):
             f"x={x} must lie strictly inside (0, 1/(beta-1))")
 
 
-def _lex_smallest_entry(ctx: BetaContext, target: _Window, x, length: int,
+def _lex_smallest_entry(ctx: BetaContext, target: Window, x, length: int,
                         budget: int = _ENTRY_DFS_BUDGET):
     """Lexicographically smallest admissible word of the given length whose
     final orbit value lands in the window ``target``.
@@ -211,7 +170,7 @@ def _lex_smallest_entry(ctx: BetaContext, target: _Window, x, length: int,
     """
     ub = ctx.one_over_beta_minus_one
     beta = ctx.beta
-    base = _base_window(ctx)
+    base = ctx.base
     nodes = 0
     stack = [("", mpf(x))]
     while stack:
@@ -238,7 +197,7 @@ def _lex_smallest_entry(ctx: BetaContext, target: _Window, x, length: int,
     return None
 
 
-def _entry_word(ctx: BetaContext, target: _Window, x, depth_cap: int):
+def _entry_word(ctx: BetaContext, target: Window, x, depth_cap: int):
     """Minimal-length word mapping x into the window ``target``,
     lexicographically smallest among minimal ones; returns (word, length).
 
@@ -295,13 +254,15 @@ def _entry_word(ctx: BetaContext, target: _Window, x, depth_cap: int):
 def entry_word_m(ctx: BetaContext, m: int, x):
     """Step-1 entry for majority-block mode: minimal-length word into the
     block steering interval, all intermediate orbit values admissible."""
-    return _entry_word(ctx, _block_window(ctx, m), x, depth_cap=64 * (2 * m + 3))
+    return _entry_word(ctx, block_steering_interval(ctx, m).window, x,
+                       depth_cap=64 * (2 * m + 3))
 
 
 def entry_word_s3(ctx: BetaContext, m: int, x):
     """Step-1 entry for steered-pair mode."""
     _require_pair_mode(ctx, m)
-    return _entry_word(ctx, _pair_windows(ctx)[0], x, depth_cap=64 * (m + 4))
+    return _entry_word(ctx, pair_steering_interval(ctx).window, x,
+                       depth_cap=64 * (m + 4))
 
 
 @_per_context
@@ -325,24 +286,11 @@ def _majority_words(length: int, heavy: str) -> tuple:
                  if bits.count(heavy) >= need)
 
 
-def _affine_words(ctx: BetaContext, words, length: int) -> tuple:
-    """(word, offset) pairs: applying ``word`` acts on an orbit value v as
-    beta^length * v + offset."""
-    with workprec(ctx.precision_bits):
-        res = []
-        for w in words:
-            q = mpf(0)
-            for n, ch in enumerate(w, start=1):
-                if ch == "1":
-                    q -= ctx.power(length - n)
-            res.append((w, q))
-    return tuple(res)
-
-
 @_per_context
 def _block_words(ctx: BetaContext, length: int, heavy: str) -> tuple:
-    """(word, offset) pairs of the majority words, in lexicographic order."""
-    return _affine_words(ctx, _majority_words(length, heavy), length)
+    """(word, offset) pairs of the majority words, in lexicographic order:
+    applying a word acts on an orbit value v as beta^length * v + offset."""
+    return tuple((w, apply_word(ctx, w, 0)) for w in _majority_words(length, heavy))
 
 
 def extend_block_m(ctx: BetaContext, m: int, prefix_word: str, orbit):
@@ -357,10 +305,9 @@ def extend_block_m(ctx: BetaContext, m: int, prefix_word: str, orbit):
     for this beta.
     """
     iv = block_steering_interval(ctx, m)
-    iv_w = _block_window(ctx, m)
     with workprec(ctx.precision_bits):
         orbit = mpf(orbit)
-        if not iv_w.contains(orbit):
+        if not iv.window.contains(orbit):
             raise InvalidPoint(
                 f"orbit {orbit} outside steering interval [{iv.lo}, {iv.hi}]")
         length = 2 * m + 1
@@ -370,7 +317,7 @@ def extend_block_m(ctx: BetaContext, m: int, prefix_word: str, orbit):
         out = []
         for block, q in pairs:
             v = scale * orbit + q
-            if not iv_w.contains(v):
+            if not iv.window.contains(v):
                 raise ContainmentViolation(
                     f"block {block} (after {prefix_word!r}) leaves the steering "
                     f"interval: value {v} not in [{iv.lo}, {iv.hi}] at beta={ctx.beta}")
@@ -379,15 +326,15 @@ def extend_block_m(ctx: BetaContext, m: int, prefix_word: str, orbit):
 
 
 @_per_context
-def _steering_table(ctx: BetaContext, cache_tag, length: int) -> tuple:
+def _steering_table(ctx: BetaContext, length: int) -> tuple:
     """(offsets, words): every word of the given length with its affine
-    offset, sorted by offset; ``cache_tag`` names the table."""
+    offset, sorted by offset."""
     words = ("".join(bits) for bits in itertools.product("01", repeat=length))
-    table = sorted((q, w) for w, q in _affine_words(ctx, words, length))
+    table = sorted((apply_word(ctx, w, 0), w) for w in words)
     return [q for q, _ in table], [w for _, w in table]
 
 
-def _steer_into(ctx: BetaContext, target: _Window, value, length: int, cache_tag):
+def _steer_into(ctx: BetaContext, target: Window, value, length: int):
     """Lexicographically smallest word of the given length whose affine
     action sends ``value`` into the window ``target``, with the value it
     lands on."""
@@ -396,7 +343,7 @@ def _steer_into(ctx: BetaContext, target: _Window, value, length: int, cache_tag
             return "", value
         raise NoSteeringWord(
             f"value {value} not in steering interval and no steering steps left")
-    offsets, words = _steering_table(ctx, cache_tag, length)
+    offsets, words = _steering_table(ctx, length)
     base = ctx.power(length) * value
     landing = lambda q: base + q  # rounding keeps this monotone in q
     first = bisect.bisect_left(offsets, target.lo_w, key=landing)
@@ -422,26 +369,25 @@ def extend_block_s3(ctx: BetaContext, m: int, prefix_word: str, orbit):
     differ at the branch position.
     """
     _require_pair_mode(ctx, m)
-    iv_w, core_w = _pair_windows(ctx)
-    base_w = _base_window(ctx)
+    iv = pair_steering_interval(ctx)
     with workprec(ctx.precision_bits):
         orbit = mpf(orbit)
-        if not iv_w.contains(orbit):
+        if not iv.window.contains(orbit):
             raise InvalidPoint(
-                f"orbit {orbit} outside steering interval [{iv_w.lo}, {iv_w.hi}]")
+                f"orbit {orbit} outside steering interval [{iv.lo}, {iv.hi}]")
         beta = ctx.beta
         forced = ""
         v = orbit
-        if v < core_w.lo_w:
-            while v < core_w.lo_w:
+        if v < iv.core.lo_w:
+            while v < iv.core.lo_w:
                 v *= beta
                 forced += "0"
                 if len(forced) > m + 1:
                     raise ContainmentViolation(
                         f"forced climb into the core took more than m+1={m + 1} "
                         f"steps at beta={beta}")
-        elif v > core_w.hi_w:
-            while v > core_w.hi_w:
+        elif v > iv.core.hi_w:
+            while v > iv.core.hi_w:
                 v = beta * v - 1
                 forced += "1"
                 if len(forced) > m + 1:
@@ -453,11 +399,11 @@ def extend_block_s3(ctx: BetaContext, m: int, prefix_word: str, orbit):
         out = []
         for digit in ("0", "1"):
             vb = beta * v - int(digit)
-            if not base_w.contains(vb):
+            if not ctx.base.contains(vb):
                 raise ContainmentViolation(
                     f"branch digit {digit} leaves the admissible interval from "
                     f"core value {v} at beta={beta}")
-            steer, vf = _steer_into(ctx, iv_w, vb, steer_len, cache_tag="steer_s3")
+            steer, vf = _steer_into(ctx, iv.window, vb, steer_len)
             out.append((forced + digit + steer, vf))
         words = [w for w, _ in out]
         if words[0][k] == words[1][k]:
@@ -518,11 +464,12 @@ def _run_generator(ctx: BetaContext, mode: str, m: int, x, num_blocks: int,
         v0 = apply_word(ctx, entry, mpf(x))
         stages = [((entry, v0),)]
         for s in range(1, num_blocks + 1):
+            # parents are in lexicographic order and each parent's blocks,
+            # all of one length, come out in it, so the stage is sorted
             nxt = []
             for w, v in stages[-1]:
                 for block, nv in extend(ctx, m, w, v):
                     nxt.append((w + block, nv))
-            nxt.sort(key=lambda t: t[0])
             expected = _expected_stage_count(mode, m, s)
             if len(nxt) != expected:
                 raise ContainmentViolation(

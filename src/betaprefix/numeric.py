@@ -33,6 +33,22 @@ _SCAN_OFFSET = mpf(10) ** -9
 _SCAN_STEP = mpf(10) ** -3
 
 
+@dataclass(frozen=True)
+class Window:
+    """A closed interval [lo, hi] with its tolerance-widened ends
+    ``lo_w = lo - tol`` and ``hi_w = hi + tol``; build it with
+    :meth:`BetaContext.window`.  mpf comparisons are exact at any
+    precision, so ``contains`` needs no working precision of its own."""
+
+    lo: object
+    hi: object
+    lo_w: object
+    hi_w: object
+
+    def contains(self, x) -> bool:
+        return self.lo_w <= x <= self.hi_w
+
+
 class BetaContext:
     """A validated base beta in (1,2) with working precision and cached
     constants.
@@ -40,7 +56,9 @@ class BetaContext:
     Cached values: ``one_over_beta_minus_one`` (right endpoint of the
     admissible interval), ``core_lo = 1/(beta^2-1)`` and
     ``core_hi = beta/(beta^2-1)`` (the two-cycle that no orbit can jump
-    over).  Interval membership uses ``comparison_tolerance`` so that
+    over), and ``base``, the admissible interval's :class:`Window`.  Every
+    orbit containment decision goes through a window from :meth:`window`,
+    whose ends are widened by ``comparison_tolerance`` so that
     closed-interval statements are not rejected through rounding.
     """
 
@@ -63,13 +81,13 @@ class BetaContext:
             self.one_over_beta_minus_one = 1 / (b - 1)
             self.core_lo = 1 / (b * b - 1)
             self.core_hi = b / (b * b - 1)
+        self.base = self.window(0, self.one_over_beta_minus_one)
         self._powers = [mpf(1), self.beta]  # beta^n cache, grown on demand
         # Tables other modules build once per context (contexts are otherwise
         # immutable).  ``generators`` keeps here the validated steering
-        # intervals, their tolerance-widened ends and those of the core and
-        # of the base interval, the pair-mode check for each m, the majority
-        # block words with their offsets, and the offset-sorted steering
-        # words for each length.
+        # intervals with their windows, the pair-mode check for each m, the
+        # majority block words with their offsets, and the offset-sorted
+        # steering words for each length.
         self.cache: dict = {}
 
     def __repr__(self):
@@ -87,19 +105,23 @@ class BetaContext:
                     pw.append(pw[-1] * self.beta)
         return pw[n]
 
-    def in_interval(self, x, lo, hi) -> bool:
-        """Closed-interval membership widened by the comparison tolerance.
+    def window(self, lo, hi) -> Window:
+        """[lo, hi] with its ends widened by the comparison tolerance.
 
-        Computed at the context precision: endpoint arithmetic at a lower
-        ambient precision could round the widened endpoints past the values
-        they are meant to include.
+        The ends are computed at the context precision: endpoint arithmetic
+        at a lower ambient precision could round them past the values they
+        are meant to include.
         """
         with workprec(self.precision_bits):
             tol = self.comparison_tolerance
-            return lo - tol <= x <= hi + tol
+            return Window(lo, hi, lo - tol, hi + tol)
+
+    def in_interval(self, x, lo, hi) -> bool:
+        """Closed-interval membership widened by the comparison tolerance."""
+        return self.window(lo, hi).contains(x)
 
     def in_base_interval(self, x) -> bool:
-        return self.in_interval(x, 0, self.one_over_beta_minus_one)
+        return self.base.contains(x)
 
 
 def apply_map(ctx: BetaContext, digit: int, x):

@@ -99,8 +99,7 @@ def enumerate_prefixes_branching(ctx: BetaContext, x, k: int,
         x = mpf(x)
         _require_in_base_interval(ctx, x)
         beta = ctx.beta
-        lo = -ctx.comparison_tolerance
-        hi = ctx.one_over_beta_minus_one + ctx.comparison_tolerance
+        lo, hi = ctx.base.lo_w, ctx.base.hi_w
         frontier = [("", x)]
         for level in range(1, k + 1):
             nxt = []

@@ -65,6 +65,16 @@ def test_cached_interval_equals_fresh(build):
     assert first == build(BetaContext(beta))
 
 
+@pytest.mark.parametrize("tolerance", [None, "1e-30"])
+def test_interval_windows_are_context_windows(tolerance):
+    ctx = BetaContext(_beta_below_omega(2), comparison_tolerance=tolerance)
+    iv = block_steering_interval(ctx, 2)
+    assert iv.window == ctx.window(iv.lo, iv.hi)
+    pv = pair_steering_interval(ctx)
+    assert pv.window == ctx.window(pv.lo, pv.hi)
+    assert pv.core == ctx.window(pv.core_lo, pv.core_hi)
+
+
 class TestPairSteeringInterval:
     def test_invariants(self):
         for beta in ("1.1", "1.3", "1.5", "1.6"):
@@ -316,8 +326,7 @@ class TestExtendBlockS3:
         ctx = BetaContext("1.4")
         iv = pair_steering_interval(ctx)
         with pytest.raises(NoSteeringWord):
-            gn._steer_into(ctx, gn._pair_windows(ctx)[0], iv.hi * 2, 0,
-                           cache_tag="test")
+            gn._steer_into(ctx, iv.window, iv.hi * 2, 0)
 
 
 def _scan_steer(ctx, lo, hi, value, length):
@@ -369,7 +378,7 @@ def test_steer_bisection_matches_linear_scan(beta, precision, rng):
         ctx = BetaContext(beta, precision_bits=precision,
                           comparison_tolerance=tolerance)
         iv = pair_steering_interval(ctx)
-        window = gn._pair_windows(ctx)[0]
+        window = iv.window
         tol = ctx.comparison_tolerance
         with workprec(precision):
             ends = (iv.lo - tol, iv.hi + tol)
@@ -379,11 +388,9 @@ def test_steer_bisection_matches_linear_scan(beta, precision, rng):
                         want = _scan_steer(ctx, iv.lo, iv.hi, value, length)
                     except NoSteeringWord:
                         with pytest.raises(NoSteeringWord):
-                            gn._steer_into(ctx, window, value, length,
-                                           cache_tag="test")
+                            gn._steer_into(ctx, window, value, length)
                         continue
-                    got = gn._steer_into(ctx, window, value, length,
-                                         cache_tag="test")
+                    got = gn._steer_into(ctx, window, value, length)
                     assert got[0] == want[0] and got[1] == want[1]
                     on_end += want[1] in ends
     assert on_end > 0  # some landings sat exactly on a widened end
@@ -438,6 +445,17 @@ class TestGeneratorRuns:
             assert words == sorted(words)
             assert all(len(w) == run.entry_steps + s * run.block_length
                        for w in words)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_stages_strictly_increasing(self, m):
+        # stages are built in order, not sorted; at most 2^12 words each
+        runs = (run_generator_m(BetaContext(_beta_below_omega(m)), m, 1.0,
+                                min(3, 6 // m)),
+                run_generator_s3(BetaContext(_beta_below_lambda(m)), m, 1.0, 3))
+        for run in runs:
+            for stage in run.stages:
+                words = [w for w, _ in stage]
+                assert all(a < b for a, b in zip(words, words[1:]))
 
     def test_bridge_property_exact(self):
         ctx = BetaContext(_beta_below_omega(1))

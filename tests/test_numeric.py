@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf, workprec
+from mpmath import frexp, mp, mpf, workprec
 
 from betaprefix import (BetaContext, NoRootFound, PolynomialFamily,
                         apply_map, apply_word, evaluate_polynomial,
@@ -55,6 +55,44 @@ class TestBetaContext:
             tol = ctx.comparison_tolerance
             assert abs(apply_map(ctx, 0, ctx.core_lo) - ctx.core_hi) <= tol
             assert abs(apply_map(ctx, 1, ctx.core_hi) - ctx.core_lo) <= tol
+
+
+def _around(end, precision):
+    """``end`` and its neighbours one ``precision``-bit ulp either side."""
+    ulp = mpf(2) ** ((frexp(end)[1] if end else 0) - precision)
+    with workprec(precision + 8):
+        return end - ulp, end, end + ulp
+
+
+class TestWindow:
+    @pytest.mark.parametrize("precision", [53, 128, 200])
+    @pytest.mark.parametrize("tolerance", [0, None, "1e-30"])
+    def test_contains_is_the_widened_comparison(self, precision, tolerance):
+        ctx = BetaContext("1.3", precision_bits=precision,
+                          comparison_tolerance=tolerance)
+        tol = ctx.comparison_tolerance
+        with workprec(precision):
+            intervals = [(0, ctx.one_over_beta_minus_one),
+                         (ctx.core_lo, ctx.core_hi),
+                         (mpf("0.1"), mpf("0.7")), (0.25, 2)]
+        for lo, hi in intervals:
+            win = ctx.window(lo, hi)
+            with workprec(precision):
+                ends = (lo - tol, hi + tol)
+            assert (win.lo, win.hi, win.lo_w, win.hi_w) == (lo, hi, *ends)
+            with workprec(precision // 3):  # ambient below the context's
+                assert ctx.window(lo, hi) == win
+            for x in (*_around(ends[0], precision), *_around(ends[1], precision)):
+                with workprec(precision):
+                    want = lo - tol <= x <= hi + tol
+                assert win.contains(x) == want
+                assert ctx.in_interval(x, lo, hi) == want
+            assert win.contains(ends[0]) and win.contains(ends[1])
+
+    @pytest.mark.parametrize("tolerance", [0, None])
+    def test_base_is_the_admissible_window(self, tolerance):
+        ctx = BetaContext("1.7", comparison_tolerance=tolerance)
+        assert ctx.base == ctx.window(0, ctx.one_over_beta_minus_one)
 
 
 class TestMaps:
