@@ -19,9 +19,8 @@ from .numeric import (BetaContext, PolynomialFamily, PolynomialSpec,
                       apply_map, apply_word, evaluate_polynomial, golden_ratio,
                       lambda_threshold, omega_threshold, polynomial_spec,
                       polynomial_string, smallest_root_above_one)
-from .prefixes import (GrowthEstimate, PrefixSet, complement_word,
-                       count_prefixes, count_prefixes_window,
+from .prefixes import (GrowthEstimate, PrefixSet, count_prefixes_window,
                        enumerate_prefixes_branching, enumerate_prefixes_direct,
-                       growth_estimate, word_ones, word_zeros)
+                       growth_estimate)
 
 __version__ = "0.1.0"

@@ -6,8 +6,8 @@ its ``cmd_*`` function builds the list of records once, and ``main`` writes
 that list as JSON lines or hands it to the subcommand's csv or table
 renderer, which reads nothing else.  Output goes to stdout, diagnostics to
 stderr.  Base and point arguments accept decimal strings or the symbolic
-forms ``omega:M`` / ``lambda:M``, which resolve through the root finder so
-threshold cases are exact to its tolerance.  Exit codes: 0 success, 2
+forms ``omega:M`` / ``lambda:M``, which resolve to the lower end of the
+root finder's bracket, ``DEFAULT_ROOT_TOL`` wide.  Exit codes: 0 success, 2
 argument or validation problems, 3 violated mathematical invariants
 (reported as a JSON diagnostic record).
 """
@@ -18,7 +18,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 from mpmath import mpf, workprec
@@ -35,7 +34,6 @@ from .numeric import (DEFAULT_PRECISION_BITS, DEFAULT_ROOT_TOL, BetaContext,
                       PolynomialFamily, lambda_threshold, omega_threshold,
                       polynomial_spec, polynomial_string)
 
-PRECISION_ENV = "BETAPREFIX_PRECISION"
 TABLE_M_VALUES = (1, 2, 3, 10, 100)
 
 _VALIDATION_ERRORS = (ValueError, InvalidPoint, CapExceeded, OutOfDomain,
@@ -48,16 +46,6 @@ class OracleMismatch(BetaPrefixError):
 
 _INVARIANT_ERRORS = (ContainmentViolation, NoSteeringWord, Unreachable,
                      NoRootFound, OracleMismatch)
-
-
-def _default_precision() -> int:
-    env = os.environ.get(PRECISION_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"{PRECISION_ENV} must be an integer, got {env!r}") from exc
-    return DEFAULT_PRECISION_BITS
 
 
 def parse_scalar(text: str, precision_bits: int):
@@ -316,9 +304,8 @@ def bernoulli_table(recs) -> str:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision-bits", type=int,
-                        default=_default_precision(),
-                        help=f"working mantissa width (default from ${PRECISION_ENV} or "
-                             f"{DEFAULT_PRECISION_BITS})")
+                        default=DEFAULT_PRECISION_BITS,
+                        help=f"working mantissa width (default {DEFAULT_PRECISION_BITS})")
     common.add_argument("--tolerance", type=str, default=None,
                         help="comparison tolerance for boundary classification")
     common.add_argument("--format", choices=("table", "csv", "records"),

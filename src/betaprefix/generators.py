@@ -98,10 +98,10 @@ def block_steering_interval(ctx: BetaContext, m: int) -> BlockSteeringInterval:
     """Validated steering interval for majority-block mode, built once per
     context.
 
-    Requires beta <= omega threshold of m; then
-    0 <= lo < pivot < hi <= 1/(beta-1), lo is the (2m+1)-fold lower-map
-    image of 1/(beta^2-1) and hi the (2m+1)-fold upper-map image of
-    beta/(beta^2-1).
+    lo is the word 1^(2m+1) applied to core_lo = 1/(beta^2-1), which is
+    (-beta^(2m+2)+beta+1)/(beta^2-1), and hi the word 0^(2m+1) applied to
+    core_hi = beta/(beta^2-1), which is beta^(2m+2)/(beta^2-1).  Requires
+    beta <= omega threshold of m; then 0 <= lo < pivot < hi <= 1/(beta-1).
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -109,45 +109,34 @@ def block_steering_interval(ctx: BetaContext, m: int) -> BlockSteeringInterval:
         raise OutOfDomain(
             f"majority-block mode needs beta <= omega_{m} = "
             f"{omega_threshold(m)}, got {ctx.beta}")
-    with workprec(ctx.precision_bits):
-        b2m2 = ctx.power(2 * m + 2)
-        denom = ctx.beta * ctx.beta - 1
-        lo = (-b2m2 + ctx.beta + 1) / denom
-        hi = b2m2 / denom
-        iv = BlockSteeringInterval(m=m, lo=lo, pivot=ctx.core_lo, hi=hi,
-                                   window=ctx.window(lo, hi))
-        tol = ctx.comparison_tolerance
-        if not (ctx.base.lo_w <= lo < ctx.core_lo < hi <= ctx.base.hi_w):
-            raise ContainmentViolation(
-                f"steering interval endpoints out of order for m={m}, beta={ctx.beta}")
-        if abs(apply_word(ctx, "1" * (2 * m + 1), ctx.core_lo) - lo) > tol:
-            raise ContainmentViolation("lower endpoint does not match its map image")
-        if abs(apply_word(ctx, "0" * (2 * m + 1), ctx.core_hi) - hi) > tol:
-            raise ContainmentViolation("upper endpoint does not match its map image")
-        return iv
+    lo = apply_word(ctx, "1" * (2 * m + 1), ctx.core_lo)
+    hi = apply_word(ctx, "0" * (2 * m + 1), ctx.core_hi)
+    if not (ctx.base.lo_w <= lo < ctx.core_lo < hi <= ctx.base.hi_w):
+        raise ContainmentViolation(
+            f"steering interval endpoints out of order for m={m}, beta={ctx.beta}")
+    return BlockSteeringInterval(m=m, lo=lo, pivot=ctx.core_lo, hi=hi,
+                                 window=ctx.window(lo, hi))
 
 
 @_per_context
 def pair_steering_interval(ctx: BetaContext) -> PairSteeringInterval:
     """Validated steering interval for steered-pair mode, built once per
-    context; needs beta below the golden ratio so the interval fits inside
-    the admissible one."""
-    with workprec(ctx.precision_bits):
-        if ctx.beta >= golden_ratio(ctx.precision_bits):
-            raise OutOfDomain(
-                f"steered-pair interval needs beta < (1+sqrt(5))/2, got {ctx.beta}")
-        b = ctx.beta
-        denom = b * b - 1
-        lo = (1 + b - b * b) / denom
-        hi = (b * b) / denom
-        if not (ctx.base.lo_w <= lo <= ctx.core_lo <= ctx.core_hi <= hi
-                <= ctx.base.hi_w):
-            raise ContainmentViolation(
-                f"pair steering interval endpoints out of order for beta={ctx.beta}")
-        return PairSteeringInterval(lo=lo, core_lo=ctx.core_lo,
-                                    core_hi=ctx.core_hi, hi=hi,
-                                    window=ctx.window(lo, hi),
-                                    core=ctx.window(ctx.core_lo, ctx.core_hi))
+    context: lo is the digit 1 applied to core_lo, (1+beta-beta^2)/(beta^2-1),
+    and hi the digit 0 applied to core_hi, beta^2/(beta^2-1).  Needs beta
+    below the golden ratio so the interval fits inside the admissible one."""
+    if ctx.beta >= golden_ratio(ctx.precision_bits):
+        raise OutOfDomain(
+            f"steered-pair interval needs beta < (1+sqrt(5))/2, got {ctx.beta}")
+    lo = apply_word(ctx, "1", ctx.core_lo)
+    hi = apply_word(ctx, "0", ctx.core_hi)
+    if not (ctx.base.lo_w <= lo <= ctx.core_lo <= ctx.core_hi <= hi
+            <= ctx.base.hi_w):
+        raise ContainmentViolation(
+            f"pair steering interval endpoints out of order for beta={ctx.beta}")
+    return PairSteeringInterval(lo=lo, core_lo=ctx.core_lo,
+                                core_hi=ctx.core_hi, hi=hi,
+                                window=ctx.window(lo, hi),
+                                core=ctx.window(ctx.core_lo, ctx.core_hi))
 
 
 def _require_interior(ctx: BetaContext, x):

@@ -76,8 +76,10 @@ class BetaContext:
                 self.comparison_tolerance = mpf(2) ** -64
             else:
                 self.comparison_tolerance = mpf(comparison_tolerance)
-                if self.comparison_tolerance < 0:
-                    raise ValueError("comparison_tolerance must be nonnegative")
+                if not 0 <= self.comparison_tolerance < mp.inf:
+                    raise ValueError(
+                        "comparison_tolerance must be finite and nonnegative, "
+                        f"got {self.comparison_tolerance}")
             self.one_over_beta_minus_one = 1 / (b - 1)
             self.core_lo = 1 / (b * b - 1)
             self.core_hi = b / (b * b - 1)

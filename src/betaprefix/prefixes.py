@@ -37,18 +37,6 @@ _CHUNK_BITS = 16  # a window count streams at most 2^16 head sums at a time
 _REFRESH_LEVELS = 16  # closed-form value refresh cadence in the orbit tree
 
 
-def word_ones(word: str) -> int:
-    return word.count("1")
-
-
-def word_zeros(word: str) -> int:
-    return word.count("0")
-
-
-def complement_word(word: str) -> str:
-    return word.translate(str.maketrans("01", "10"))
-
-
 @dataclass(frozen=True)
 class PrefixSet:
     """All valid k-prefixes of a point, with their orbit values.
@@ -161,12 +149,6 @@ def enumerate_prefixes_direct(ctx: BetaContext, x, k: int,
         kept.sort()
         return PrefixSet(k=k, words=tuple(w for w, _ in kept),
                          orbit_values={w: v for w, v in kept})
-
-
-def count_prefixes(ctx: BetaContext, x, k: int,
-                   survivor_cap: int = DEFAULT_SURVIVOR_CAP) -> int:
-    """Number of k-prefixes of x (cardinality of the branching set)."""
-    return enumerate_prefixes_branching(ctx, x, k, survivor_cap).count
 
 
 def _digit_sums(beta: float, first: int, last: int, start: float = 0.0) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Serialization helpers: line-oriented word lists and JSON-line records.
+"""Serialization helpers: JSON-line records.
 
 The records format is one JSON object per line with a ``kind`` field; the
 field schemas are documented in the README.  Real numbers are emitted as
@@ -19,7 +19,6 @@ import math
 from mpmath import mpf, workprec
 from mpmath.libmp import mpf_pos, round_nearest, to_str
 
-from .bernoulli import MeasureEstimate
 from .bounds import BoundReport
 from .generators import GeneratorRun
 from .numeric import DEFAULT_PRECISION_BITS
@@ -52,27 +51,6 @@ def parse_real(text: str, precision_bits: int = DEFAULT_PRECISION_BITS):
 
 
 # ---------------------------------------------------------------- prefix sets
-
-def prefix_set_lines(ps: PrefixSet) -> str:
-    """One word per line as an ASCII 0/1 string, then ``count=<N>``."""
-    return "".join(f"{w}\n" for w in ps.words) + f"count={ps.count}\n"
-
-
-def parse_prefix_set_lines(text: str):
-    """Returns (words, count) parsed from the line format; validates the
-    trailer against the number of word lines."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[-1].startswith("count="):
-        raise ValueError("missing count= trailer")
-    count = int(lines[-1].split("=", 1)[1])
-    words = tuple(lines[:-1])
-    if len(words) != count:
-        raise ValueError(f"trailer says {count} words, found {len(words)}")
-    for w in words:
-        if w.strip("01"):
-            raise ValueError(f"invalid word line {w!r}")
-    return words, count
-
 
 def prefix_set_records(ps: PrefixSet,
                        precision_bits: int = DEFAULT_PRECISION_BITS) -> list:
@@ -159,30 +137,7 @@ def bound_report_records(report: BoundReport,
     return recs
 
 
-# ---------------------------------------------------------- measure / growth
-
-def measure_records(est: MeasureEstimate) -> list:
-    return [{
-        "kind": "measure",
-        "interval": [est.interval[0], est.interval[1]],
-        "value": est.value,
-        "half_width": est.half_width,
-        "method": est.method,
-        "depth": est.depth,
-        "seed": est.seed,
-        "samples": est.samples,
-    }]
-
-
-def parse_measure_record(line: str) -> MeasureEstimate:
-    rec = json.loads(line) if isinstance(line, str) else line
-    if rec.get("kind") != "measure":
-        raise ValueError("not a measure record")
-    return MeasureEstimate(interval=(rec["interval"][0], rec["interval"][1]),
-                           value=rec["value"], half_width=rec["half_width"],
-                           depth=rec["depth"], method=rec["method"],
-                           seed=rec.get("seed"), samples=rec.get("samples"))
-
+# ------------------------------------------------------------------ growth
 
 def growth_records(est: GrowthEstimate) -> list:
     recs = [{"kind": "growth_point", "k": k, "log2_count": lc,

@@ -4,6 +4,8 @@ import csv
 import hashlib
 import io
 import json
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -160,6 +162,16 @@ class TestGenerate:
         assert code == 2
         assert json.loads(err)["error"] == "OutOfDomain"
 
+    @pytest.mark.parametrize("base, m", [("1.05", "1"), ("omega:2", "2"),
+                                         ("1.02", "1")])
+    def test_tolerance_zero(self, capsys, base, m):
+        # the block steering interval's ends are its map images, so no
+        # endpoint check depends on the tolerance
+        code, out, err = run_cli(capsys, "generate", base, "1.0", m, "1",
+                                 "--tolerance", "0")
+        assert code == 0, err
+        assert f"stage 1: {4 ** int(m)} words" in out
+
     def test_records(self, capsys):
         code, out, _ = run_cli(capsys, "generate", "1.05", "11.0", "1", "2",
                                "--format", "records")
@@ -289,12 +301,6 @@ class TestBernoulli:
 
 
 class TestPrecisionEnv:
-    def test_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.PRECISION_ENV, "96")
-        parser = cli.build_parser()
-        args = parser.parse_args(["count", "1.5", "1", "6"])
-        assert args.precision_bits == 96
-
     def test_symbolic_parse_error(self, capsys):
         code, _, err = run_cli(capsys, "count", "gamma:3", "1", "6")
         assert code == 2
@@ -304,6 +310,14 @@ class TestPrecisionEnv:
                                "--tolerance", "1e-30")
         assert code == 0
         assert "count = " in out
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_2(self, capsys, tolerance):
+        code, out, err = run_cli(capsys, "count", "1.5", "1", "6",
+                                 "--tolerance", tolerance)
+        assert code == 2
+        assert out == ""
+        assert "comparison_tolerance" in json.loads(err)["message"]
 
     def test_precision_flag(self, capsys):
         code, out, _ = run_cli(capsys, "count", "1.5", "1", "8",
@@ -410,3 +424,23 @@ def test_records_are_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv, "--format", "records")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _readme_commands():
+    """The ``betaprefix`` lines of the README's ``sh`` blocks, comments
+    stripped, as argument lists."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [b.split("```", 1)[0] for b in text.split("```sh\n")[1:]]
+    return [shlex.split(line, comments=True)[1:]
+            for block in blocks for line in block.splitlines()
+            if line.startswith("betaprefix ")]
+
+
+def test_readme_cli_examples_run(capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    outputs = {}
+    for argv in commands:
+        code, outputs[tuple(argv)], err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+    assert outputs[("count", "1.5", "1", "10", "--oracle")].startswith("count = 28\n")

@@ -28,21 +28,37 @@ def _beta_below_lambda(m, factor=0.8):
     return 1 + factor * (float(lambda_threshold(m)) - 1)
 
 
+def _assert_closed_forms(ctx, iv, n):
+    """The ends of a steering interval that are n map steps from the core
+    match the closed forms (-beta^(n+1)+beta+1)/(beta^2-1) and
+    beta^(n+1)/(beta^2-1), evaluated 64 bits wider, within the rounding
+    bound (n + 3)^2 * 2^-p * beta^(n+2) / (beta^2-1)^2.  That is a
+    first-order bound, at 2^-p per rounding, on the error of the core value
+    (which subtracting 1 from beta^2 amplifies by beta^2/(beta^2-1)), of the
+    powers beta^j (j roundings each) and of the n subtractions."""
+    with workprec(ctx.precision_bits + 64):
+        b = ctx.beta
+        denom = b * b - 1
+        bn1 = b ** (n + 1)
+        bound = (n + 3) ** 2 * mpf(2) ** -ctx.precision_bits * b * bn1 / denom ** 2
+        assert abs(iv.lo - (-bn1 + b + 1) / denom) <= bound
+        assert abs(iv.hi - bn1 / denom) <= bound
+
+
 class TestBlockSteeringInterval:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_invariants(self, m):
-        for factor in (0.3, 0.7, 1.0):
+        for factor, precision in itertools.product((0.3, 0.7, 1.0), (128, 200)):
             beta = omega_threshold(m) if factor == 1.0 else _beta_below_omega(m, factor)
-            ctx = BetaContext(beta)
+            ctx = BetaContext(beta, precision_bits=precision)
             iv = block_steering_interval(ctx, m)
-            with workprec(ctx.precision_bits):
-                assert 0 <= iv.lo < iv.pivot < iv.hi <= ctx.one_over_beta_minus_one
-                # endpoints are the (2m+1)-fold map images of the core
-                tol = ctx.comparison_tolerance
-                assert abs(apply_word(ctx, "1" * (2 * m + 1), ctx.core_lo) - iv.lo) <= tol
-                assert abs(apply_word(ctx, "0" * (2 * m + 1), ctx.core_hi) - iv.hi) <= tol
-                # the core two-cycle sits inside the interval
-                assert iv.lo <= ctx.core_lo < ctx.core_hi <= iv.hi
+            assert 0 <= iv.lo < iv.pivot < iv.hi <= ctx.one_over_beta_minus_one
+            # endpoints are the (2m+1)-fold map images of the core
+            assert iv.lo == apply_word(ctx, "1" * (2 * m + 1), ctx.core_lo)
+            assert iv.hi == apply_word(ctx, "0" * (2 * m + 1), ctx.core_hi)
+            _assert_closed_forms(ctx, iv, 2 * m + 1)
+            # the core two-cycle sits inside the interval
+            assert iv.lo <= ctx.core_lo < ctx.core_hi <= iv.hi
 
     def test_out_of_domain(self):
         ctx = BetaContext("1.05")
@@ -51,6 +67,21 @@ class TestBlockSteeringInterval:
                 block_steering_interval(ctx, 2)
             with pytest.raises(ValueError):
                 block_steering_interval(ctx, 0)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_intervals_build_at_tolerance_zero(m):
+    # with no tolerance to absorb rounding, the ends must be the map images
+    # themselves, not values compared against them
+    for factor in (0.026, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+        beta = omega_threshold(m) if factor == 1.0 else _beta_below_omega(m, factor)
+        ctx = BetaContext(beta, comparison_tolerance=0)
+        iv = block_steering_interval(ctx, m)
+        assert iv.window.lo_w == iv.lo and iv.window.hi_w == iv.hi
+        pv = pair_steering_interval(ctx)
+        assert pv.lo < pv.core_lo < pv.core_hi < pv.hi
+        run = run_generator_m(ctx, m, (ctx.core_lo + ctx.core_hi) / 2, 1)
+        assert len(run.stages[-1]) == 4 ** m
 
 
 @pytest.mark.parametrize("build", [
@@ -77,15 +108,15 @@ def test_interval_windows_are_context_windows(tolerance):
 
 class TestPairSteeringInterval:
     def test_invariants(self):
-        for beta in ("1.1", "1.3", "1.5", "1.6"):
-            ctx = BetaContext(beta)
+        for beta, precision in itertools.product(("1.1", "1.3", "1.5", "1.6"),
+                                                 (53, 128, 200)):
+            ctx = BetaContext(beta, precision_bits=precision)
             iv = pair_steering_interval(ctx)
-            with workprec(ctx.precision_bits):
-                assert 0 <= iv.lo <= iv.core_lo < iv.core_hi <= iv.hi
-                assert iv.hi <= ctx.one_over_beta_minus_one
-                tol = ctx.comparison_tolerance
-                assert abs(apply_map(ctx, 1, ctx.core_lo) - iv.lo) <= tol
-                assert abs(apply_map(ctx, 0, ctx.core_hi) - iv.hi) <= tol
+            assert 0 <= iv.lo <= iv.core_lo < iv.core_hi <= iv.hi
+            assert iv.hi <= ctx.one_over_beta_minus_one
+            assert iv.lo == apply_map(ctx, 1, ctx.core_lo)
+            assert iv.hi == apply_map(ctx, 0, ctx.core_hi)
+            _assert_closed_forms(ctx, iv, 1)
 
     def test_out_of_domain_at_golden_ratio(self):
         ctx = BetaContext("1.62")

@@ -11,23 +11,13 @@ import pytest
 from mpmath import mpf, workprec
 
 from betaprefix import (BetaContext, CapExceeded, InvalidPoint, MemoryGuard,
-                        apply_word, complement_word, count_prefixes,
-                        count_prefixes_window, enumerate_prefixes_branching,
-                        enumerate_prefixes_direct, growth_estimate, word_ones,
-                        word_zeros)
+                        apply_word, count_prefixes_window,
+                        enumerate_prefixes_branching, enumerate_prefixes_direct,
+                        growth_estimate)
 
 # brute-force oracle outputs, frozen (see tests below that recompute them)
 COUNT_BETA15_X1_K10 = 28
 COUNT_BETA19_X05_K12 = 3
-
-
-class TestWordHelpers:
-    def test_counts(self):
-        assert word_ones("01101") == 3
-        assert word_zeros("01101") == 2
-
-    def test_complement(self):
-        assert complement_word("0110") == "1001"
 
 
 class TestEndpoints:
@@ -51,8 +41,9 @@ class TestEndpoints:
     def test_endpoint_uniqueness_deep(self):
         ctx = BetaContext("1.2")
         for k in (10, 25, 40):
-            assert count_prefixes(ctx, 0, k) == 1
-            assert count_prefixes(ctx, ctx.one_over_beta_minus_one, k) == 1
+            assert enumerate_prefixes_branching(ctx, 0, k).count == 1
+            assert enumerate_prefixes_branching(
+                ctx, ctx.one_over_beta_minus_one, k).count == 1
 
 
 class TestFrozenCounts:
@@ -108,7 +99,8 @@ class TestSetProperties:
         for _ in range(6):
             ctx = BetaContext(rng.uniform(1.2, 1.9))
             x = rng.uniform(0.2, 0.8) * float(ctx.one_over_beta_minus_one)
-            counts = [count_prefixes(ctx, x, k) for k in range(13)]
+            counts = [enumerate_prefixes_branching(ctx, x, k).count
+                      for k in range(13)]
             for a, b in zip(counts, counts[1:]):
                 assert a <= b <= 2 * a
 
@@ -121,7 +113,8 @@ class TestSetProperties:
                 mirrored = ctx.one_over_beta_minus_one - x
             ps = enumerate_prefixes_branching(ctx, x, 9)
             qs = enumerate_prefixes_branching(ctx, mirrored, 9)
-            assert set(map(complement_word, ps.words)) == set(qs.words)
+            flip = str.maketrans("01", "10")
+            assert {w.translate(flip) for w in ps.words} == set(qs.words)
 
     def test_majority_zero_words_dominate_extremal_composition(self, rng):
         # orbit of any (2k+1)-word with a zero majority is at least the
@@ -138,9 +131,9 @@ class TestSetProperties:
                 slack = mpf(2) ** -80
                 for bits in itertools.product("01", repeat=2 * k + 1):
                     w = "".join(bits)
-                    if word_zeros(w) >= k + 1:
+                    if w.count("0") >= k + 1:
                         assert apply_word(ctx, w, x) - lo_val >= -slack
-                    if word_ones(w) >= k + 1:
+                    if w.count("1") >= k + 1:
                         assert apply_word(ctx, w, x) - hi_val <= slack
 
 

@@ -7,14 +7,12 @@ import pytest
 from mpmath import mp, mpf, workprec
 
 from betaprefix import (BetaContext, bound_report, enumerate_prefixes_direct,
-                        growth_estimate, lambda_threshold, measure_monte_carlo,
-                        omega_threshold, run_generator_m, run_generator_s3)
+                        growth_estimate, lambda_threshold, omega_threshold,
+                        run_generator_m, run_generator_s3)
 from betaprefix.records import (bound_report_records, generator_run_records,
-                                growth_records, measure_records, parse_measure_record,
-                                parse_prefix_set_lines,
-                                parse_prefix_set_records, parse_real,
-                                prefix_set_lines, prefix_set_records,
-                                real_repr, to_jsonl)
+                                growth_records, parse_prefix_set_records,
+                                parse_real, prefix_set_records, real_repr,
+                                to_jsonl)
 
 
 def _nstr_reference(value, precision_bits):
@@ -94,22 +92,6 @@ def test_to_jsonl_equals_json_dumps(run_of):
 
 
 class TestPrefixSetFormats:
-    def test_line_format_round_trip(self, ctx15):
-        ps = enumerate_prefixes_direct(ctx15, 1, 10)
-        text = prefix_set_lines(ps)
-        assert text.endswith(f"count={ps.count}\n")
-        words, count = parse_prefix_set_lines(text)
-        assert words == ps.words
-        assert count == ps.count
-
-    def test_line_format_detects_bad_trailer(self):
-        with pytest.raises(ValueError):
-            parse_prefix_set_lines("010\ncount=2\n")
-        with pytest.raises(ValueError):
-            parse_prefix_set_lines("012\ncount=1\n")
-        with pytest.raises(ValueError):
-            parse_prefix_set_lines("010\n")
-
     def test_records_round_trip(self, ctx15):
         ps = enumerate_prefixes_direct(ctx15, 1, 8)
         lines = to_jsonl(prefix_set_records(ps, 128)).splitlines()
@@ -150,12 +132,6 @@ class TestOtherRecords:
         head = recs[0]
         assert head["kind"] == "bound_report"
         assert head["kappa"] == pytest.approx(0.125)
-
-    def test_measure_record_round_trip(self, ctx15):
-        est = measure_monte_carlo(ctx15, 0.4, 0.6, 1000, 20, seed=5)
-        line = to_jsonl(measure_records(est)).strip()
-        back = parse_measure_record(line)
-        assert back == est
 
     def test_growth_records(self, ctx15):
         est = growth_estimate(ctx15, 1.0, 8, 14)
