@@ -3,13 +3,13 @@ non-integer bases beta in (1,2)."""
 
 from .bernoulli import (LocalDimEstimate, MeasureEstimate, local_dimension,
                         measure_interval, measure_monte_carlo)
-from .bounds import (BoundReport, LocalDimBound, best_lower_bounds,
-                     bound_report, delta_search, kappa_lower_bound,
-                     local_dim_upper, separation_holds, upper_rate_bound,
-                     upper_rate_bounds)
+from .bounds import (BoundReport, LocalDimBound, bound_report, delta_search,
+                     kappa_lower_bound, local_dim_upper, separation_holds,
+                     upper_rate_bound, upper_rate_bounds)
 from .errors import (BetaPrefixError, CapExceeded, ContainmentViolation,
-                     DepthExceeded, InvalidPoint, MemoryGuard, NoRootFound,
-                     NoSteeringWord, OutOfDomain, Unreachable)
+                     DepthExceeded, InputError, InvalidPoint, InvariantError,
+                     MemoryGuard, NoRootFound, NoSteeringWord, OracleMismatch,
+                     OutOfDomain, Unreachable)
 from .generators import (BlockSteeringInterval, GeneratorRun,
                          PairSteeringInterval, block_steering_interval,
                          entry_word_m, entry_word_s3, extend_block_m,

@@ -7,13 +7,14 @@ threshold) and 1/(m+2) (beta at most the lambda threshold).  Upper bounds
 for the upper growth rate: log2(2^m - 1)/m for beta above 2^(1/m), plus
 the separation property of the m-digit sum set near beta = 2.  Upper
 bounds for the local dimension of the fair-coin convolution mirror the
-same thresholds.
+same thresholds.  ``bound_report`` reads every threshold-driven bound for
+one base off a single walk of the thresholds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -122,30 +123,6 @@ def _walk_thresholds(ctx: BetaContext, m_max: int) -> tuple:
     return omega_pick, lambda_pick, kappa
 
 
-def _lower_bounds(ctx: BetaContext, walk: tuple) -> BoundReport:
-    omega_pick, lambda_pick, kappa = walk
-    lowers = [] if kappa is None else [kappa]
-    omega_bound = lambda_bound = None
-    if omega_pick:
-        m = omega_pick[0]
-        omega_bound = (m, (2 * m) / (2 * m + 1))
-        lowers.append(omega_bound[1])
-    if lambda_pick:
-        m = lambda_pick[0]
-        lambda_bound = (m, 1 / (m + 2))
-        lowers.append(lambda_bound[1])
-    return BoundReport(beta=ctx.beta, kappa=kappa, omega_bound=omega_bound,
-                       lambda_bound=lambda_bound,
-                       best_lower=max(lowers) if lowers else None,
-                       upper_bounds=(), local_dim_upper=(), local_dim_min=None)
-
-
-def best_lower_bounds(ctx: BetaContext, m_max: int = DEFAULT_M_MAX) -> BoundReport:
-    """Lower-bound fragment of the report: kappa plus the best generator
-    bounds up to index m_max."""
-    return _lower_bounds(ctx, _walk_thresholds(ctx, m_max))
-
-
 def upper_rate_bound(m: int):
     """Upper bound log2(2^m - 1)/m for the upper growth rate, valid for
     beta in (2^(1/m), 2); returns (value, validity_threshold)."""
@@ -226,44 +203,50 @@ def delta_search(m: int, abs_tol: float = 1e-8,
     return 2.0 - hi
 
 
-def _local_dim_bounds(ctx: BetaContext, walk: tuple) -> tuple:
-    omega_pick, lambda_pick, kappa = walk
+def bound_report(ctx: BetaContext, m_max: int = DEFAULT_M_MAX) -> BoundReport:
+    """The full report for one base, read off one walk of the thresholds up
+    to index m_max.
+
+    Lower bounds: kappa below the golden ratio, 2m/(2m+1) for the largest m
+    with beta at most the omega threshold, and 1/(m+2) for the smallest m
+    with beta at most the lambda threshold.  Upper bounds: the first
+    :func:`upper_rate_bounds`.  Local-dimension upper bounds for the
+    fair-coin convolution, from the same picks: (1/(2m+1)) log_beta 2,
+    ((m+1)/(m+2)) log_beta 2 and (1 - kappa) log_beta 2.
+    """
+    omega_pick, lambda_pick, kappa = _walk_thresholds(ctx, m_max)
     log_beta_2 = float(mp.log(2) / mp.log(ctx.beta))
-    candidates = []
+    lowers = [] if kappa is None else [kappa]
+    local_dims = []
+    omega_bound = lambda_bound = None
     if omega_pick:
         m, threshold = omega_pick
-        candidates.append(LocalDimBound(
+        omega_bound = (m, (2 * m) / (2 * m + 1))
+        lowers.append(omega_bound[1])
+        local_dims.append(LocalDimBound(
             source="majority-generator", m=m, value=log_beta_2 / (2 * m + 1),
             threshold=float(threshold)))
     if lambda_pick:
         m, threshold = lambda_pick
-        candidates.append(LocalDimBound(
+        lambda_bound = (m, 1 / (m + 2))
+        lowers.append(lambda_bound[1])
+        local_dims.append(LocalDimBound(
             source="pair-generator", m=m, value=log_beta_2 * (m + 1) / (m + 2),
             threshold=float(threshold)))
     if kappa is not None:
-        candidates.append(LocalDimBound(
+        local_dims.append(LocalDimBound(
             source="kappa", m=None, value=(1.0 - kappa) * log_beta_2,
             threshold=float(golden_ratio(ctx.precision_bits))))
-    minimum = min((c.value for c in candidates), default=None)
-    return tuple(candidates), minimum
+    return BoundReport(
+        beta=ctx.beta, kappa=kappa, omega_bound=omega_bound,
+        lambda_bound=lambda_bound, best_lower=max(lowers, default=None),
+        upper_bounds=upper_rate_bounds(ctx), local_dim_upper=tuple(local_dims),
+        local_dim_min=min((c.value for c in local_dims), default=None))
 
 
 def local_dim_upper(ctx: BetaContext, m_max: int = DEFAULT_M_MAX) -> tuple:
     """All applicable upper bounds for the upper local dimension of the
-    fair-coin convolution at this base, as (candidates, minimum).
-
-    Candidates: (1/(2m+1)) log_beta 2 for the largest m with beta at most
-    the omega threshold, ((m+1)/(m+2)) log_beta 2 for the smallest m with
-    beta at most the lambda threshold, and (1 - kappa) log_beta 2 below the
-    golden ratio.
-    """
-    return _local_dim_bounds(ctx, _walk_thresholds(ctx, m_max))
-
-
-def bound_report(ctx: BetaContext, m_max: int = DEFAULT_M_MAX) -> BoundReport:
-    """The full report: lower bounds, upper bounds and local-dimension
-    bounds for one base."""
-    walk = _walk_thresholds(ctx, m_max)
-    cands, dim_min = _local_dim_bounds(ctx, walk)
-    return replace(_lower_bounds(ctx, walk), upper_bounds=upper_rate_bounds(ctx),
-                   local_dim_upper=cands, local_dim_min=dim_min)
+    fair-coin convolution at this base, as (candidates, minimum): the
+    local-dimension fields of :func:`bound_report`."""
+    report = bound_report(ctx, m_max)
+    return report.local_dim_upper, report.local_dim_min

@@ -8,8 +8,9 @@ renderer, which reads nothing else.  Output goes to stdout, diagnostics to
 stderr.  Base and point arguments accept decimal strings or the symbolic
 forms ``omega:M`` / ``lambda:M``, which resolve to the lower end of the
 root finder's bracket, ``DEFAULT_ROOT_TOL`` wide.  Exit codes: 0 success, 2
-argument or validation problems, 3 violated mathematical invariants
-(reported as a JSON diagnostic record).
+argument or validation problems (``errors.InputError`` or ``ValueError``),
+3 violated mathematical invariants (``errors.InvariantError``); either
+failure is reported on stderr as a JSON diagnostic record.
 """
 
 from __future__ import annotations
@@ -27,25 +28,12 @@ from . import bounds as bd
 from . import generators as gn
 from . import prefixes as pf
 from . import records as rc
-from .errors import (BetaPrefixError, CapExceeded, ContainmentViolation,
-                     DepthExceeded, InvalidPoint, MemoryGuard, NoRootFound,
-                     NoSteeringWord, OutOfDomain, Unreachable)
+from .errors import InputError, InvariantError, OracleMismatch
 from .numeric import (DEFAULT_PRECISION_BITS, DEFAULT_ROOT_TOL, BetaContext,
                       PolynomialFamily, lambda_threshold, omega_threshold,
                       polynomial_spec, polynomial_string)
 
 TABLE_M_VALUES = (1, 2, 3, 10, 100)
-
-_VALIDATION_ERRORS = (ValueError, InvalidPoint, CapExceeded, OutOfDomain,
-                      DepthExceeded, MemoryGuard)
-
-
-class OracleMismatch(BetaPrefixError):
-    """Branching and direct enumeration disagreed."""
-
-
-_INVARIANT_ERRORS = (ContainmentViolation, NoSteeringWord, Unreachable,
-                     NoRootFound, OracleMismatch)
 
 
 def parse_scalar(text: str, precision_bits: int):
@@ -61,6 +49,12 @@ def parse_scalar(text: str, precision_bits: int):
         raise ValueError(f"unknown symbolic scalar {text!r}")
     with workprec(precision_bits):
         return mpf(text)
+
+
+def _context(args) -> BetaContext:
+    """The base context of a subcommand's ``beta`` argument."""
+    return BetaContext(parse_scalar(args.beta, args.precision_bits),
+                       args.precision_bits, args.tolerance)
 
 
 # ------------------------------------------------------------------- roots
@@ -105,8 +99,7 @@ def roots_table(recs) -> str:
 # ------------------------------------------------------------------- count
 
 def cmd_count(args) -> list:
-    ctx = BetaContext(parse_scalar(args.beta, args.precision_bits),
-                      args.precision_bits, args.tolerance)
+    ctx = _context(args)
     x = parse_scalar(args.x, args.precision_bits)
     ps = pf.enumerate_prefixes_branching(ctx, x, args.k)
     oracle_count = None
@@ -143,8 +136,7 @@ def count_table(recs) -> str:
 # ----------------------------------------------------------------- generate
 
 def cmd_generate(args) -> list:
-    ctx = BetaContext(parse_scalar(args.beta, args.precision_bits),
-                      args.precision_bits, args.tolerance)
+    ctx = _context(args)
     x = parse_scalar(args.x, args.precision_bits)
     run_fn = gn.run_generator_m if args.mode == gn.MODE_MAJORITY else gn.run_generator_s3
     run = run_fn(ctx, args.m, x, args.blocks)
@@ -171,9 +163,7 @@ def generate_table(recs) -> str:
 # ------------------------------------------------------------------- bounds
 
 def cmd_bounds(args) -> list:
-    ctx = BetaContext(parse_scalar(args.beta, args.precision_bits),
-                      args.precision_bits, args.tolerance)
-    return rc.bound_report_records(bd.bound_report(ctx, args.m_max),
+    return rc.bound_report_records(bd.bound_report(_context(args), args.m_max),
                                    args.precision_bits)
 
 
@@ -222,8 +212,7 @@ def bounds_table(recs) -> str:
 # ------------------------------------------------------------------- growth
 
 def cmd_growth(args) -> list:
-    ctx = BetaContext(parse_scalar(args.beta, args.precision_bits),
-                      args.precision_bits, args.tolerance)
+    ctx = _context(args)
     x = parse_scalar(args.x, args.precision_bits)
     est = pf.growth_estimate(ctx, x, args.k_min, args.k_max)
     report = bd.bound_report(ctx, args.m_max)
@@ -263,8 +252,7 @@ def growth_table(recs) -> str:
 # ---------------------------------------------------------------- bernoulli
 
 def cmd_bernoulli(args) -> list:
-    ctx = BetaContext(parse_scalar(args.beta, args.precision_bits),
-                      args.precision_bits, args.tolerance)
+    ctx = _context(args)
     x = parse_scalar(args.x, args.precision_bits)
     k_min, sep, k_max = args.radii.partition(":")
     if not sep:
@@ -394,10 +382,10 @@ def main(argv=None) -> int:
             csv.writer(sys.stdout, lineterminator="\n").writerows(args.csv(recs))
         else:
             sys.stdout.write(args.table(recs))
-    except _INVARIANT_ERRORS as exc:
+    except InvariantError as exc:
         sys.stderr.write(_diagnostic(exc) + "\n")
         return 3
-    except _VALIDATION_ERRORS as exc:
+    except (InputError, ValueError) as exc:
         sys.stderr.write(_diagnostic(exc) + "\n")
         return 2
     return 0

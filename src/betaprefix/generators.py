@@ -103,8 +103,6 @@ def block_steering_interval(ctx: BetaContext, m: int) -> BlockSteeringInterval:
     core_hi = beta/(beta^2-1), which is beta^(2m+2)/(beta^2-1).  Requires
     beta <= omega threshold of m; then 0 <= lo < pivot < hi <= 1/(beta-1).
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
     if ctx.beta > omega_threshold(m):
         raise OutOfDomain(
             f"majority-block mode needs beta <= omega_{m} = "
@@ -186,6 +184,23 @@ def _lex_smallest_entry(ctx: BetaContext, target: Window, x, length: int,
     return None
 
 
+def _climb(ctx: BetaContext, window: Window, v, cap: int):
+    """Forced run of the orbit value v towards ``window``: digit 0 while v
+    lies below it, digit 1 while above.  Returns (digits, value reached), or
+    None when the run needs more than ``cap`` digits.  Digit 0 moves v up,
+    away from 0, and digit 1 moves it down, away from 1/(beta-1), so the run
+    is monotone; its last step may jump over the window, and callers check
+    where it landed."""
+    up = v < window.lo_w
+    digits = ""
+    while v < window.lo_w if up else v > window.hi_w:
+        if len(digits) == cap:
+            return None
+        v = ctx.beta * v if up else ctx.beta * v - 1
+        digits += "0" if up else "1"
+    return digits, v
+
+
 def _entry_word(ctx: BetaContext, target: Window, x, depth_cap: int):
     """Minimal-length word mapping x into the window ``target``,
     lexicographically smallest among minimal ones; returns (word, length).
@@ -194,7 +209,9 @@ def _entry_word(ctx: BetaContext, target: Window, x, depth_cap: int):
     value at depth j lies between the all-ones and all-zeros compositions,
     and the monotone climb (all zeros from below, all ones from above)
     enters the interval without jumping over it, because the interval
-    contains the core two-cycle.
+    contains the core two-cycle.  From below, the all-zeros climb is also
+    the lexicographically smallest word; from above, the all-ones descent
+    only fixes the length.
     """
     lo, hi = target.lo, target.hi
     with workprec(ctx.precision_bits):
@@ -202,37 +219,22 @@ def _entry_word(ctx: BetaContext, target: Window, x, depth_cap: int):
         _require_interior(ctx, x)
         if target.contains(x):
             return "", 0
-        beta = ctx.beta
-        if x < lo:
-            # all-zeros climb is both minimal and lexicographically smallest
-            v = x
-            j = 0
-            while v < target.lo_w:
-                v *= beta
-                j += 1
-                if j > depth_cap:
-                    raise Unreachable(
-                        f"no entry into [{lo}, {hi}] within {depth_cap} steps from x={x}")
-            if v > target.hi_w:
-                raise Unreachable(
-                    f"monotone climb jumped over [{lo}, {hi}] from x={x}")
-            return "0" * j, j
-        # x > hi: the all-ones descent fixes the minimal length
-        v = x
-        j = 0
-        while v > target.hi_w:
-            v = beta * v - 1
-            j += 1
-            if j > depth_cap:
-                raise Unreachable(
-                    f"no entry into [{lo}, {hi}] within {depth_cap} steps from x={x}")
-        if v < target.lo_w:
+        climbed = _climb(ctx, target, x, depth_cap)
+        if climbed is None:
             raise Unreachable(
-                f"monotone descent jumped over [{lo}, {hi}] from x={x}")
+                f"no entry into [{lo}, {hi}] within {depth_cap} steps from x={x}")
+        run, v = climbed
+        if not target.contains(v):
+            raise Unreachable(
+                f"monotone {'climb' if x < lo else 'descent'} jumped over "
+                f"[{lo}, {hi}] from x={x}")
+        j = len(run)
+        if x < lo:
+            return run, j
         word = _lex_smallest_entry(ctx, target, x, j)
         if word is None:
             # budget exhausted: fall back to the known-good all-ones word
-            word = "1" * j
+            word = run
         final = apply_word(ctx, word, x)
         if not target.contains(final):
             raise Unreachable(
@@ -257,8 +259,6 @@ def entry_word_s3(ctx: BetaContext, m: int, x):
 @_per_context
 def _require_pair_mode(ctx: BetaContext, m: int) -> bool:
     """Raise unless beta <= lambda_m; returns True, so a pass is kept."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
     if ctx.beta > lambda_threshold(m):
         raise OutOfDomain(
             f"steered-pair mode needs beta <= lambda_{m} = "
@@ -364,34 +364,21 @@ def extend_block_s3(ctx: BetaContext, m: int, prefix_word: str, orbit):
         if not iv.window.contains(orbit):
             raise InvalidPoint(
                 f"orbit {orbit} outside steering interval [{iv.lo}, {iv.hi}]")
-        beta = ctx.beta
-        forced = ""
-        v = orbit
-        if v < iv.core.lo_w:
-            while v < iv.core.lo_w:
-                v *= beta
-                forced += "0"
-                if len(forced) > m + 1:
-                    raise ContainmentViolation(
-                        f"forced climb into the core took more than m+1={m + 1} "
-                        f"steps at beta={beta}")
-        elif v > iv.core.hi_w:
-            while v > iv.core.hi_w:
-                v = beta * v - 1
-                forced += "1"
-                if len(forced) > m + 1:
-                    raise ContainmentViolation(
-                        f"forced descent into the core took more than m+1={m + 1} "
-                        f"steps at beta={beta}")
+        climbed = _climb(ctx, iv.core, orbit, m + 1)
+        if climbed is None:
+            raise ContainmentViolation(
+                f"forced {'climb' if orbit < iv.core.lo_w else 'descent'} into "
+                f"the core took more than m+1={m + 1} steps at beta={ctx.beta}")
+        forced, v = climbed
         k = len(forced)
         steer_len = m + 1 - k
         out = []
         for digit in ("0", "1"):
-            vb = beta * v - int(digit)
+            vb = ctx.beta * v - int(digit)
             if not ctx.base.contains(vb):
                 raise ContainmentViolation(
                     f"branch digit {digit} leaves the admissible interval from "
-                    f"core value {v} at beta={beta}")
+                    f"core value {v} at beta={ctx.beta}")
             steer, vf = _steer_into(ctx, iv.window, vb, steer_len)
             out.append((forced + digit + steer, vf))
         words = [w for w, _ in out]

@@ -28,7 +28,7 @@ DEFAULT_ROOT_TOL = 1e-9
 # Root scan grid: start just above 1 to skip the known root at x=1 and step
 # by 1e-3 up to 2 (both are 53-bit values).  The grid needs no assumption on
 # root gaps: a polynomial that Descartes' rule allows one root above 1
-# changes sign at most once on it, and any other polynomial is walked in order.
+# changes sign at most once on it.
 _SCAN_OFFSET = mpf(10) ** -9
 _SCAN_STEP = mpf(10) ** -3
 
@@ -117,10 +117,6 @@ class BetaContext:
         with workprec(self.precision_bits):
             tol = self.comparison_tolerance
             return Window(lo, hi, lo - tol, hi + tol)
-
-    def in_interval(self, x, lo, hi) -> bool:
-        """Closed-interval membership widened by the comparison tolerance."""
-        return self.window(lo, hi).contains(x)
 
     def in_base_interval(self, x) -> bool:
         return self.base.contains(x)
@@ -336,20 +332,19 @@ def smallest_root_above_one(spec: PolynomialSpec, abs_tol: float = DEFAULT_ROOT_
                             precision_bits: int = 160):
     """Smallest real root of the polynomial in (1, 2).
 
-    Finds the first cell of the scan grid (1 + 1e-9, then steps of 1e-3 up
-    to 2) at whose right end the polynomial is zero or has changed sign,
-    and bisects that cell down to width ``abs_tol``.  Every sign is exact:
-    a ``precision_bits`` evaluation decides it when its error bound allows,
-    and integer arithmetic otherwise (:func:`_certified_sign`).  When
-    :func:`descartes_bound_above_one` is 1 the polynomial changes sign at
-    most once above 1, so the cell is found by bisection over grid indices
-    and holds the only root above 1.  Otherwise the grid is walked in order,
-    which finds the first of several sign changes.  Both searches find the
-    same cell, because the signs are exact.
-    When the bound is 1 and the grid shows no sign change, but the exact
-    sign of p just right of 1 (:func:`_sign_right_of_one`) differs from its
-    sign at 1 + 1e-9, the root lies in (1, 1 + 1e-9] and that cell is
-    bisected instead, until its lower end leaves 1.
+    Only a polynomial that :func:`descartes_bound_above_one` allows exactly
+    one root above 1 is searched; every family member is one.  Such a
+    polynomial changes sign at most once above 1, so bisection over the
+    indices of the scan grid (1 + 1e-9, then steps of 1e-3 up to 2) finds
+    the first cell at whose right end the polynomial is zero or has changed
+    sign, and that cell, bisected down to width ``abs_tol``, holds the only
+    root above 1.  Every sign is exact: a ``precision_bits`` evaluation
+    decides it when its error bound allows, and integer arithmetic
+    otherwise (:func:`_certified_sign`).
+    When the grid shows no sign change, but the exact sign of p just right
+    of 1 (:func:`_sign_right_of_one`) differs from its sign at 1 + 1e-9,
+    the root lies in (1, 1 + 1e-9] and that cell is bisected instead, until
+    its lower end leaves 1.
 
     Returns the lower end of the final bracket, where the polynomial still
     has its sign just right of 1; every family is negative between 1 and its
@@ -357,12 +352,21 @@ def smallest_root_above_one(spec: PolynomialSpec, abs_tol: float = DEFAULT_ROOT_
     inequalities hold, never one just past the root.  Deterministic for
     fixed inputs.
 
-    Raises NoRootFound when no sign change is seen, which signals either a
-    coefficient bug or insufficient precision, or when ``precision_bits``
-    cannot narrow the bracket further; ValueError unless 0 < abs_tol < inf.
+    Raises NoRootFound when the bound is 0 or no sign change is seen, which
+    signals either a coefficient bug or insufficient precision, or when
+    ``precision_bits`` cannot narrow the bracket further; ValueError unless
+    0 < abs_tol < inf, or when the bound is 2 or more.
     """
     if not 0 < abs_tol < math.inf:
         raise ValueError("abs_tol must be positive and finite")
+    bound = descartes_bound_above_one(spec)
+    if bound == 0:
+        raise NoRootFound(
+            f"no sign change of {spec.family.value} m={spec.m} in (1,2)")
+    if bound > 1:
+        raise ValueError(
+            f"{spec.family.value} m={spec.m} may have {bound} roots above 1; "
+            "the search needs at most one")
     grid = _scan_grid(precision_bits)
     with workprec(precision_bits):
         tol = mpf(abs_tol)
@@ -376,15 +380,10 @@ def smallest_root_above_one(spec: PolynomialSpec, abs_tol: float = DEFAULT_ROOT_
             sj = _certified_sign(spec, grid[j], slack)
             return sj == 0 or (sj < 0) != neg
 
-        cells = range(1, len(grid))
-        single = descartes_bound_above_one(spec) == 1
-        if single:
-            j = 1 + bisect.bisect_left(cells, True, key=changed)
-        else:
-            j = next((j for j in cells if changed(j)), len(grid))
+        j = 1 + bisect.bisect_left(range(1, len(grid)), True, key=changed)
         if j < len(grid):
             lo, hi = grid[j - 1], grid[j]
-        elif single and (_sign_right_of_one(spec) < 0) != neg:
+        elif (_sign_right_of_one(spec) < 0) != neg:
             # the only root above 1 lies below the first grid point
             lo, hi, neg = mpf(1), grid[0], not neg
         else:
@@ -408,26 +407,20 @@ def smallest_root_above_one(spec: PolynomialSpec, abs_tol: float = DEFAULT_ROOT_
 
 
 @functools.lru_cache(maxsize=4096)
-def _cached_root(family: PolynomialFamily, m: int, abs_tol: float):
-    return smallest_root_above_one(polynomial_spec(family, m), abs_tol)
-
-
-@functools.lru_cache(maxsize=4096)
 def _checked_threshold(sequence: str, m: int, abs_tol: float):
-    """The ``"omega"`` or ``"lambda"`` threshold for m, range-checked once.
-    A failed check raises, so it is never cached and fails on every call."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    """The ``"omega"`` or ``"lambda"`` threshold for m: the smallest root
+    above 1 of the sequence's family polynomials, range-checked once.  A
+    failed check raises, so it is never cached and fails on every call."""
+    families = ((PolynomialFamily.LAMBDA,) if sequence == "lambda" else
+                (PolynomialFamily.OMEGA_1, PolynomialFamily.OMEGA_2,
+                 PolynomialFamily.OMEGA_3))
+    r = min(smallest_root_above_one(polynomial_spec(f, m), abs_tol)
+            for f in families)
     if sequence == "lambda":
-        r = _cached_root(PolynomialFamily.LAMBDA, m, abs_tol)
         with workprec(160):
             if not (1 < r < golden_ratio(160) + mpf(abs_tol)):
                 raise NoRootFound(f"lambda threshold for m={m} outside (1, golden ratio)")
         return r
-    roots = [_cached_root(f, m, abs_tol) for f in
-             (PolynomialFamily.OMEGA_1, PolynomialFamily.OMEGA_2,
-              PolynomialFamily.OMEGA_3)]
-    r = min(roots)
     if not (1 < r < 2):
         raise NoRootFound(f"omega threshold for m={m} outside (1,2)")
     return r

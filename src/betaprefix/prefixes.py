@@ -207,8 +207,7 @@ def count_prefixes_window(ctx: BetaContext, x, k: int) -> int:
         raise MemoryGuard(f"window count k={k} above cap {WINDOW_K_CAP}")
     beta = float(ctx.beta)
     xf = float(x)
-    if not ctx.in_base_interval(mpf(x)):
-        raise InvalidPoint(f"x={x} outside [0, 1/(beta-1)] beyond tolerance")
+    _require_in_base_interval(ctx, mpf(x))
     if k == 0:
         return 1
     width = beta ** -k / (beta - 1.0)

@@ -20,9 +20,8 @@ import pytest
 from mpmath import mpf, workprec
 
 import betaprefix.cli as cli
-from betaprefix import (BetaContext, apply_word, best_lower_bounds,
-                        block_steering_interval, bound_report,
-                        count_prefixes_window, delta_search,
+from betaprefix import (BetaContext, apply_word, block_steering_interval,
+                        bound_report, count_prefixes_window, delta_search,
                         enumerate_prefixes_branching, enumerate_prefixes_direct,
                         growth_estimate, lambda_threshold, local_dim_upper,
                         local_dimension, measure_interval, measure_monte_carlo,
@@ -178,13 +177,13 @@ def test_criterion_03_generator_count_law(capsys, generator_runs):
                 if len(stage) != 2 ** (2 * m * s):
                     violations += 1
                 for w, v in stage:
-                    if not ctx.in_interval(v, iv.lo, iv.hi):
+                    if not ctx.window(iv.lo, iv.hi).contains(v):
                         violations += 1
             # independent closed-form re-evaluation on a word sample
             sample = run.stages[-1][::max(1, len(run.stages[-1]) // 64)]
             for w, v in sample:
                 exact = apply_word(ctx, w, mpf(x))
-                if not ctx.in_interval(exact, iv.lo, iv.hi):
+                if not ctx.window(iv.lo, iv.hi).contains(exact):
                     violations += 1
                 if abs(exact - v) > mpf(2) ** -60:
                     violations += 1
@@ -202,7 +201,7 @@ def test_criterion_03_generator_count_law(capsys, generator_runs):
                 if len(stage) != 2 ** s:
                     violations += 1
                 for w, v in stage:
-                    if not ctx.in_interval(v, iv.lo, iv.hi):
+                    if not ctx.window(iv.lo, iv.hi).contains(v):
                         violations += 1
                     exact = apply_word(ctx, w, mpf(x))
                     if abs(exact - v) > mpf(2) ** -60:
@@ -322,7 +321,7 @@ def test_criterion_07_growth_vs_bounds(capsys):
     for i in range(20):
         beta = 1.01 + (1.61 - 1.01) * (i + 0.5) / 20
         ctx = BetaContext(beta)
-        rep = best_lower_bounds(ctx, m_max=64)
+        rep = bound_report(ctx, m_max=64)
         uppers = upper_rate_bounds(ctx)
         min_upper = min(v for _, v, _ in uppers)
         best_lower = rep.best_lower if rep.best_lower is not None else 0.0

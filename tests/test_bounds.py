@@ -6,8 +6,8 @@ import pytest
 from mpmath import mp, mpf, workprec
 
 from betaprefix import (BetaContext, CapExceeded, OutOfDomain,
-                        apply_word, best_lower_bounds, bound_report,
-                        delta_search, enumerate_prefixes_direct, golden_ratio,
+                        apply_word, bound_report, delta_search,
+                        enumerate_prefixes_direct, golden_ratio,
                         kappa_lower_bound, lambda_threshold, local_dim_upper,
                         omega_threshold, separation_holds, upper_rate_bound,
                         upper_rate_bounds)
@@ -43,24 +43,24 @@ class TestKappa:
 
 class TestBestLowerBounds:
     def test_beta_107_gets_two_thirds(self):
-        rep = best_lower_bounds(BetaContext("1.07"), m_max=8)
+        rep = bound_report(BetaContext("1.07"), m_max=8)
         assert rep.omega_bound == (1, pytest.approx(2 / 3))
         assert rep.best_lower == pytest.approx(2 / 3)
 
     def test_beta_146_gets_one_quarter(self):
-        rep = best_lower_bounds(BetaContext("1.46"), m_max=8)
+        rep = bound_report(BetaContext("1.46"), m_max=8)
         assert rep.lambda_bound == (2, pytest.approx(0.25))
 
     def test_beta_161_lambda_pick(self):
         # lambda_8 = 1.61193 is the first threshold above 1.61, so the best
         # pair-generator bound is 1/10; the published-table resolution
         # (m in {1,2,3,10,100}) would give the weaker 1/12 via lambda_10
-        rep = best_lower_bounds(BetaContext("1.61"), m_max=32)
+        rep = bound_report(BetaContext("1.61"), m_max=32)
         assert rep.lambda_bound == (8, pytest.approx(0.1))
         assert float(lambda_threshold(10)) >= 1.61  # the weaker pick stays valid
 
     def test_absent_bounds_above_golden_ratio(self):
-        rep = best_lower_bounds(BetaContext("1.9"), m_max=8)
+        rep = bound_report(BetaContext("1.9"), m_max=8)
         assert rep.kappa is None
         assert rep.omega_bound is None
         assert rep.lambda_bound is None
@@ -71,14 +71,14 @@ class TestBestLowerBounds:
         with workprec(128):
             inside = BetaContext(om2 - mpf(1e-9))
             outside = BetaContext(om2 + mpf(1e-9))
-        assert best_lower_bounds(inside, m_max=4).omega_bound[0] == 2
-        assert best_lower_bounds(outside, m_max=4).omega_bound[0] == 1
+        assert bound_report(inside, m_max=4).omega_bound[0] == 2
+        assert bound_report(outside, m_max=4).omega_bound[0] == 1
         lam2 = lambda_threshold(2)
         with workprec(128):
             inside = BetaContext(lam2 - mpf(1e-9))
             outside = BetaContext(lam2 + mpf(1e-9))
-        assert best_lower_bounds(inside, m_max=4).lambda_bound[0] == 2
-        assert best_lower_bounds(outside, m_max=4).lambda_bound[0] == 3
+        assert bound_report(inside, m_max=4).lambda_bound[0] == 2
+        assert bound_report(outside, m_max=4).lambda_bound[0] == 3
 
     def test_lower_bounds_below_upper_bounds(self):
         # on a grid below the golden ratio the best lower growth bound never
@@ -87,7 +87,7 @@ class TestBestLowerBounds:
         for i in range(100):
             beta = 1.01 + (phi - 1.02) * i / 99
             ctx = BetaContext(beta)
-            rep = best_lower_bounds(ctx, m_max=64)
+            rep = bound_report(ctx, m_max=64)
             uppers = upper_rate_bounds(ctx)
             assert uppers, f"no upper bound applicable at beta={beta}"
             assert rep.best_lower is not None
@@ -207,7 +207,7 @@ class TestLocalDimUpper:
         assert minimum is None
 
     def test_m_max_guard(self, ctx15):
-        for fn in (best_lower_bounds, local_dim_upper, bound_report):
+        for fn in (local_dim_upper, bound_report):
             with pytest.raises(ValueError, match="m_max must be at least 1"):
                 fn(ctx15, m_max=0)
 

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import betaprefix.cli as cli
+import betaprefix.errors as errors
 import betaprefix.prefixes as pf
 from betaprefix import PrefixSet
 from betaprefix.records import parse_prefix_set_records
@@ -411,7 +412,9 @@ def test_csv_and_table_agree_with_records(capsys, command):
 
 # SHA-256 of the records output, frozen before ``real_repr`` moved from
 # ``mp.nstr`` under ``workprec`` to ``libmp.to_str``: prefix orbit values and
-# ``beta`` fields must not change a digit.
+# ``beta`` fields must not change a digit.  The ``bernoulli`` digests were
+# frozen while ``local_dim_upper`` still built its bounds apart from
+# ``bound_report``, so ``bound_min`` must not change either.
 @pytest.mark.parametrize("argv, digest", [
     (["count", "omega:1", "0.5", "20", "--precision-bits", "96"],
      "e38adf4785933201f11e420334cb2ccc7a48a92e4b39dd7d11b859fc3dc6796d"),
@@ -419,11 +422,27 @@ def test_csv_and_table_agree_with_records(capsys, command):
      "14d83245f4c64f13da70ee229382f2f13fc3e6db2b8e94dab9ba0ac82e3dd730"),
     (["growth", "1.3", "0.9", "16", "--m-max", "8"],
      "a66eb0d26a302b6eb9fe48a642436e05f9bce2dce4ceec4614e58e4b0b3a5062"),
-], ids=["count", "bounds", "growth"])
+    (["bernoulli", "1.5", "1.1", "--radii", "8:14"],
+     "d9ecf0f66c5e1f3e433f1a5f80f1637187866160330870e68b74a2141ed161f8"),
+    (["bernoulli", "lambda:2", "0.9", "--radii", "6:10"],
+     "fc735c0b92d43ccff1fc6d7d78422b9fb47fc39b9abbd3cf9e2a42f20087eb85"),
+], ids=["count", "bounds", "growth", "bernoulli", "bernoulli-lambda"])
 def test_records_are_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv, "--format", "records")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_every_error_has_one_exit_class():
+    # main maps InvariantError to exit 3 and InputError to exit 2, so each
+    # concrete error must sit under exactly one of them
+    bases = (errors.InputError, errors.InvariantError)
+    concrete = [c for c in vars(errors).values()
+                if isinstance(c, type) and issubclass(c, errors.BetaPrefixError)
+                and c not in (errors.BetaPrefixError, *bases)]
+    assert len(concrete) >= 10
+    for cls in concrete:
+        assert sum(issubclass(cls, b) for b in bases) == 1, cls.__name__
 
 
 def _readme_commands():

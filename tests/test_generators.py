@@ -167,7 +167,7 @@ class TestEntryWords:
                 j += 1
         word, steps = entry_word_m(ctx, 1, x)
         assert (word, steps) == ("0" * j, j)
-        assert ctx.in_interval(apply_word(ctx, word, x), iv.lo, iv.hi)
+        assert ctx.window(iv.lo, iv.hi).contains(apply_word(ctx, word, x))
 
     def test_above_interval_has_descent_length(self):
         ctx = BetaContext(_beta_below_omega(1))
@@ -181,7 +181,7 @@ class TestEntryWords:
                 j += 1
         word, steps = entry_word_m(ctx, 1, x)
         assert steps == j == len(word)
-        assert ctx.in_interval(apply_word(ctx, word, x), iv.lo, iv.hi)
+        assert ctx.window(iv.lo, iv.hi).contains(apply_word(ctx, word, x))
 
     def test_matches_brute_bfs(self, rng):
         # shallow random cases across both modes and both sides
@@ -261,7 +261,7 @@ class TestExtendBlockM:
             assert len(exts) == 2 ** (2 * m)
             for w, v in exts:
                 assert len(w) == 2 * m + 1
-                assert ctx.in_interval(v, iv.lo, iv.hi)
+                assert ctx.window(iv.lo, iv.hi).contains(v)
                 assert abs(apply_word(ctx, w, orbit) - v) < mpf(2) ** -90
 
     def test_extremal_block_at_threshold_root(self):
@@ -311,7 +311,7 @@ class TestExtendBlockS3:
             diffs = [i for i in range(m + 2) if w0[i] != w1[i]]
             assert diffs[0] == len(_forced_prefix(w0, w1))
             for w, v in pair:
-                assert ctx.in_interval(v, iv.lo, iv.hi)
+                assert ctx.window(iv.lo, iv.hi).contains(v)
                 assert abs(apply_word(ctx, w, orbit) - v) < mpf(2) ** -90
 
     def test_forced_steps_capped(self, rng):
@@ -364,7 +364,7 @@ def _scan_steer(ctx, lo, hi, value, length):
     """Reference steering search: the linear lexicographic scan over all
     2^length words, with offsets built the same way as the library's."""
     if length == 0:
-        if ctx.in_interval(value, lo, hi):
+        if ctx.window(lo, hi).contains(value):
             return "", value
         raise NoSteeringWord("stranded")
     scale = ctx.power(length)
@@ -376,7 +376,7 @@ def _scan_steer(ctx, lo, hi, value, length):
                 if ch == "1":
                     q -= ctx.power(length - n)
         v = scale * value + q
-        if ctx.in_interval(v, lo, hi):
+        if ctx.window(lo, hi).contains(v):
             return w, v
     raise NoSteeringWord("no word")
 
@@ -466,7 +466,7 @@ class TestGeneratorRuns:
         with workprec(ctx.precision_bits):
             for w in run.stage_words(2):
                 val = apply_word(ctx, w, mpf(1))
-                assert ctx.in_interval(val, iv.lo, iv.hi)
+                assert ctx.window(iv.lo, iv.hi).contains(val)
 
     def test_stage_lengths_and_lex_order(self):
         ctx = BetaContext(_beta_below_omega(2))

@@ -86,7 +86,6 @@ class TestWindow:
                 with workprec(precision):
                     want = lo - tol <= x <= hi + tol
                 assert win.contains(x) == want
-                assert ctx.in_interval(x, lo, hi) == want
             assert win.contains(ends[0]) and win.contains(ends[1])
 
     @pytest.mark.parametrize("tolerance", [0, None])
@@ -408,13 +407,12 @@ class TestRoots:
         assert abs(root - 1.5) < 1e-9
 
     def test_two_roots_return_the_smaller(self):
-        # 10x^2 - 27x + 18 = (2x - 3)(5x - 6) is positive at both grid ends,
-        # so only the ordered walk finds its sign changes
+        # 10x^2 - 27x + 18 = (2x - 3)(5x - 6) is positive at both grid ends;
+        # the search takes only polynomials with at most one root above 1
         two = PolynomialSpec(PolynomialFamily.OMEGA_3, 1, ((2, 10), (1, -27), (0, 18)))
         assert descartes_bound_above_one(two) == 2
-        root = smallest_root_above_one(two)
-        assert root._mpf_ == _linear_scan_root(two)._mpf_
-        assert str(root) == "1.19999999909265"
+        with pytest.raises(ValueError, match="may have 2 roots above 1"):
+            smallest_root_above_one(two)
 
     @pytest.mark.parametrize("m,text", sorted(PUBLISHED_OMEGA.items()))
     def test_omega_published_values(self, m, text):
