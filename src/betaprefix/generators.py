@@ -16,19 +16,31 @@ extension's orbit lands back inside it:
 Orbit containment is asserted for every extension; a violation falsifies
 the defining polynomial inequality for the given beta and aborts loudly.
 
-Each context builds its generator tables once, in ``ctx.cache``, and every
-extension reads them: the validated steering intervals with their
-containment windows (``numeric.Window``), the pair-mode check for each m,
-the block words with their affine offsets, and per steering length the
-words sorted by offset.  A table whose validation fails is not stored, so
-the failure repeats on every call.
+The generator tables are built once per base and process, in
+``ctx.cache``, which every context with the same ``(beta, precision_bits,
+comparison_tolerance)`` shares (see ``numeric``), and every extension reads
+them: the validated steering intervals with their containment windows
+(``numeric.Window``), the pair-mode check for each m, the block words with
+their affine offsets, and per steering length the words sorted by offset.
+A table whose validation fails is not stored, so the failure repeats on
+every call.
 
 A steering word of length L acts on an orbit value v as beta^L * v + q.
 Rounding ``beta^L * v + q`` is monotone in the offset q, so the words that
 land in the widened interval form one run of the offset-sorted table; two
 bisections find it, and the lexicographically smallest word of the run is
 the one a lexicographic scan of all 2^L words would find first, with the
-same value.
+same value.  For the same reason a majority block's extreme values come
+from its extreme offsets, and each stage carries its least and greatest
+orbit value without comparing all of them.
+
+The orbit loops (the forced climb, the block extensions and the steering
+bisection) run on raw libmp values, the ``_mpf_`` tuples of mpf numbers:
+they call ``mpf_mul``, ``mpf_add``, ``mpf_sub`` and ``mpf_cmp`` at
+``ctx.precision_bits`` with round-to-nearest.  Each of these is correctly
+rounded and they run in the order the mpf operators would under
+``workprec``, so every value and every containment decision is the one the
+operators give, without their dispatch.  Values leave the loops as mpf.
 """
 
 from __future__ import annotations
@@ -38,18 +50,22 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from mpmath import mpf, workprec
+from mpmath import mp, mpf, workprec
+from mpmath.libmp import fone, mpf_add, mpf_cmp, mpf_mul, mpf_sub, round_nearest
 
 from .errors import (ContainmentViolation, InvalidPoint, MemoryGuard,
                      NoSteeringWord, OutOfDomain, Unreachable)
 from .numeric import (BetaContext, Window, apply_word, golden_ratio,
-                      lambda_threshold, omega_threshold)
+                      lambda_threshold, omega_threshold, to_raw)
 from .prefixes import DEFAULT_SURVIVOR_CAP
 
 _ENTRY_DFS_BUDGET = 2_000_000
 
 MODE_MAJORITY = "m"
 MODE_STEERED_PAIR = "s3"
+
+_RND = round_nearest
+_wrap = mp.make_mpf  # raw libmp value -> mpf, without rounding
 
 
 @dataclass(frozen=True)
@@ -79,10 +95,11 @@ class PairSteeringInterval:
     core: Window
 
 
-def _per_context(build):
-    """Run ``build(ctx, ...)`` once per context and argument list and keep
-    the result in ``ctx.cache``.  A call that raises stores nothing, so a
-    failed validation repeats on every call."""
+def _per_base(build):
+    """Run ``build(ctx, ...)`` once per base and argument list and keep the
+    result in ``ctx.cache``, which contexts of equal beta, precision and
+    tolerance share.  A call that raises stores nothing, so a failed
+    validation repeats on every call."""
     @functools.wraps(build)
     def cached(ctx: BetaContext, *args, **kwargs):
         key = (build.__name__, *args, *kwargs.items())
@@ -93,22 +110,27 @@ def _per_context(build):
     return cached
 
 
-@_per_context
+@_per_base
 def block_steering_interval(ctx: BetaContext, m: int) -> BlockSteeringInterval:
     """Validated steering interval for majority-block mode, built once per
-    context.
+    base.
 
     lo is the word 1^(2m+1) applied to core_lo = 1/(beta^2-1), which is
     (-beta^(2m+2)+beta+1)/(beta^2-1), and hi the word 0^(2m+1) applied to
-    core_hi = beta/(beta^2-1), which is beta^(2m+2)/(beta^2-1).  Requires
-    beta <= omega threshold of m; then 0 <= lo < pivot < hi <= 1/(beta-1).
+    core_hi = beta/(beta^2-1), which is beta^(2m+2)/(beta^2-1).  Both are
+    computed in the affine form beta^(2m+1) * v + offset that
+    :func:`extend_block_m` applies to blocks, so the extremal block from
+    the pivot lands exactly on lo.  Requires beta <= omega threshold of m;
+    then 0 <= lo < pivot < hi <= 1/(beta-1).
     """
     if ctx.beta > omega_threshold(m):
         raise OutOfDomain(
             f"majority-block mode needs beta <= omega_{m} = "
             f"{omega_threshold(m)}, got {ctx.beta}")
-    lo = apply_word(ctx, "1" * (2 * m + 1), ctx.core_lo)
-    hi = apply_word(ctx, "0" * (2 * m + 1), ctx.core_hi)
+    n = 2 * m + 1
+    with workprec(ctx.precision_bits):
+        lo = ctx.power(n) * ctx.core_lo + apply_word(ctx, "1" * n, 0)
+    hi = apply_word(ctx, "0" * n, ctx.core_hi)
     if not (ctx.base.lo_w <= lo < ctx.core_lo < hi <= ctx.base.hi_w):
         raise ContainmentViolation(
             f"steering interval endpoints out of order for m={m}, beta={ctx.beta}")
@@ -116,10 +138,10 @@ def block_steering_interval(ctx: BetaContext, m: int) -> BlockSteeringInterval:
                                  window=ctx.window(lo, hi))
 
 
-@_per_context
+@_per_base
 def pair_steering_interval(ctx: BetaContext) -> PairSteeringInterval:
     """Validated steering interval for steered-pair mode, built once per
-    context: lo is the digit 1 applied to core_lo, (1+beta-beta^2)/(beta^2-1),
+    base: lo is the digit 1 applied to core_lo, (1+beta-beta^2)/(beta^2-1),
     and hi the digit 0 applied to core_hi, beta^2/(beta^2-1).  Needs beta
     below the golden ratio so the interval fits inside the admissible one."""
     if ctx.beta >= golden_ratio(ctx.precision_bits):
@@ -185,19 +207,25 @@ def _lex_smallest_entry(ctx: BetaContext, target: Window, x, length: int,
 
 
 def _climb(ctx: BetaContext, window: Window, v, cap: int):
-    """Forced run of the orbit value v towards ``window``: digit 0 while v
-    lies below it, digit 1 while above.  Returns (digits, value reached), or
-    None when the run needs more than ``cap`` digits.  Digit 0 moves v up,
-    away from 0, and digit 1 moves it down, away from 1/(beta-1), so the run
-    is monotone; its last step may jump over the window, and callers check
-    where it landed."""
-    up = v < window.lo_w
+    """Forced run of the raw orbit value v towards ``window``: digit 0 while
+    v lies below it, digit 1 while above.  Returns (digits, raw value
+    reached), or None when the run needs more than ``cap`` digits.  Digit 0
+    moves v up, away from 0, and digit 1 moves it down, away from
+    1/(beta-1), so the run is monotone; its last step may jump over the
+    window, and callers check where it landed."""
+    prec, beta = ctx.precision_bits, ctx.beta._mpf_
+    lo, hi = window.lo_w._mpf_, window.hi_w._mpf_
+    up = mpf_cmp(v, lo) < 0
     digits = ""
-    while v < window.lo_w if up else v > window.hi_w:
+    while mpf_cmp(v, lo) < 0 if up else mpf_cmp(v, hi) > 0:
         if len(digits) == cap:
             return None
-        v = ctx.beta * v if up else ctx.beta * v - 1
-        digits += "0" if up else "1"
+        v = mpf_mul(beta, v, prec, _RND)
+        if up:
+            digits += "0"
+        else:
+            v = mpf_sub(v, fone, prec, _RND)
+            digits += "1"
     return digits, v
 
 
@@ -219,11 +247,11 @@ def _entry_word(ctx: BetaContext, target: Window, x, depth_cap: int):
         _require_interior(ctx, x)
         if target.contains(x):
             return "", 0
-        climbed = _climb(ctx, target, x, depth_cap)
+        climbed = _climb(ctx, target, x._mpf_, depth_cap)
         if climbed is None:
             raise Unreachable(
                 f"no entry into [{lo}, {hi}] within {depth_cap} steps from x={x}")
-        run, v = climbed
+        run, v = climbed[0], _wrap(climbed[1])
         if not target.contains(v):
             raise Unreachable(
                 f"monotone {'climb' if x < lo else 'descent'} jumped over "
@@ -256,7 +284,7 @@ def entry_word_s3(ctx: BetaContext, m: int, x):
                        depth_cap=64 * (m + 4))
 
 
-@_per_context
+@_per_base
 def _require_pair_mode(ctx: BetaContext, m: int) -> bool:
     """Raise unless beta <= lambda_m; returns True, so a pass is kept."""
     if ctx.beta > lambda_threshold(m):
@@ -275,11 +303,48 @@ def _majority_words(length: int, heavy: str) -> tuple:
                  if bits.count(heavy) >= need)
 
 
-@_per_context
+@_per_base
 def _block_words(ctx: BetaContext, length: int, heavy: str) -> tuple:
-    """(word, offset) pairs of the majority words, in lexicographic order:
-    applying a word acts on an orbit value v as beta^length * v + offset."""
-    return tuple((w, apply_word(ctx, w, 0)) for w in _majority_words(length, heavy))
+    """(pairs, i_min, i_max): the majority words with their raw offsets, in
+    lexicographic order, and the positions of a least and a greatest
+    offset.  Applying a word acts on an orbit value v as
+    beta^length * v + offset."""
+    words = _majority_words(length, heavy)
+    offsets = [apply_word(ctx, w, 0) for w in words]
+    positions = range(len(words))
+    return (tuple((w, q._mpf_) for w, q in zip(words, offsets)),
+            min(positions, key=offsets.__getitem__),
+            max(positions, key=offsets.__getitem__))
+
+
+def _extend_m(ctx: BetaContext, m: int, prefix_word: str, orbit):
+    """:func:`extend_block_m` with the least and greatest landing value.
+
+    Rounding keeps ``base + q`` monotone in q, so those are the landings of
+    a least and a greatest offset, and every block lands inside the window
+    when these two do; otherwise the first block in word order that leaves
+    it is named."""
+    iv = block_steering_interval(ctx, m)
+    prec = ctx.precision_bits
+    o = to_raw(orbit, prec)
+    if not iv.window.contains_raw(o):
+        with workprec(prec):
+            raise InvalidPoint(
+                f"orbit {_wrap(o)} outside steering interval [{iv.lo}, {iv.hi}]")
+    length = 2 * m + 1
+    heavy = "1" if mpf_cmp(o, iv.pivot._mpf_) >= 0 else "0"
+    pairs, i_min, i_max = _block_words(ctx, length, heavy)
+    base = mpf_mul(ctx.power(length)._mpf_, o, prec, _RND)
+    out = [(block, _wrap(mpf_add(base, q, prec, _RND))) for block, q in pairs]
+    least, greatest = out[i_min][1], out[i_max][1]
+    if not (iv.window.contains_raw(least._mpf_)
+            and iv.window.contains_raw(greatest._mpf_)):
+        block, v = next((b, v) for b, v in out if not iv.window.contains(v))
+        with workprec(prec):
+            raise ContainmentViolation(
+                f"block {block} (after {prefix_word!r}) leaves the steering "
+                f"interval: value {v} not in [{iv.lo}, {iv.hi}] at beta={ctx.beta}")
+    return out, (least, greatest)
 
 
 def extend_block_m(ctx: BetaContext, m: int, prefix_word: str, orbit):
@@ -293,56 +358,82 @@ def extend_block_m(ctx: BetaContext, m: int, prefix_word: str, orbit):
     ContainmentViolation, since it falsifies the block-return inequality
     for this beta.
     """
-    iv = block_steering_interval(ctx, m)
-    with workprec(ctx.precision_bits):
-        orbit = mpf(orbit)
-        if not iv.window.contains(orbit):
-            raise InvalidPoint(
-                f"orbit {orbit} outside steering interval [{iv.lo}, {iv.hi}]")
-        length = 2 * m + 1
-        heavy = "1" if orbit >= iv.pivot else "0"
-        pairs = _block_words(ctx, length, heavy)
-        scale = ctx.power(length)
-        out = []
-        for block, q in pairs:
-            v = scale * orbit + q
-            if not iv.window.contains(v):
-                raise ContainmentViolation(
-                    f"block {block} (after {prefix_word!r}) leaves the steering "
-                    f"interval: value {v} not in [{iv.lo}, {iv.hi}] at beta={ctx.beta}")
-            out.append((block, v))
-        return out
+    return _extend_m(ctx, m, prefix_word, orbit)[0]
 
 
-@_per_context
+@_per_base
 def _steering_table(ctx: BetaContext, length: int) -> tuple:
-    """(offsets, words): every word of the given length with its affine
+    """(offsets, words): every word of the given length with its raw affine
     offset, sorted by offset."""
     words = ("".join(bits) for bits in itertools.product("01", repeat=length))
     table = sorted((apply_word(ctx, w, 0), w) for w in words)
-    return [q for q, _ in table], [w for _, w in table]
+    return [q._mpf_ for q, _ in table], [w for _, w in table]
 
 
 def _steer_into(ctx: BetaContext, target: Window, value, length: int):
     """Lexicographically smallest word of the given length whose affine
-    action sends ``value`` into the window ``target``, with the value it
-    lands on."""
+    action sends the mpf ``value`` into the window ``target``, with the
+    value it lands on."""
+    prec = ctx.precision_bits
     if length == 0:
-        if target.contains(value):
+        if target.contains_raw(value._mpf_):
             return "", value
-        raise NoSteeringWord(
-            f"value {value} not in steering interval and no steering steps left")
+        with workprec(prec):
+            raise NoSteeringWord(
+                f"value {value} not in steering interval and no steering steps left")
     offsets, words = _steering_table(ctx, length)
-    base = ctx.power(length) * value
-    landing = lambda q: base + q  # rounding keeps this monotone in q
-    first = bisect.bisect_left(offsets, target.lo_w, key=landing)
-    end = bisect.bisect_right(offsets, target.hi_w, lo=first, key=landing)
+    base = mpf_mul(ctx.power(length)._mpf_, value._mpf_, prec, _RND)
+    lo, hi = target.lo_w._mpf_, target.hi_w._mpf_
+    landing = lambda k: mpf_add(base, offsets[k], prec, _RND)  # monotone in k
+    positions = range(len(offsets))
+    first = bisect.bisect_left(positions, True,
+                               key=lambda k: mpf_cmp(landing(k), lo) >= 0)
+    end = bisect.bisect_left(positions, True, lo=first,
+                             key=lambda k: mpf_cmp(landing(k), hi) > 0)
     if first == end:
-        raise NoSteeringWord(
-            f"no word of length {length} steers {value} back into "
-            f"[{target.lo}, {target.hi}] at beta={ctx.beta}")
+        with workprec(prec):
+            raise NoSteeringWord(
+                f"no word of length {length} steers {value} back into "
+                f"[{target.lo}, {target.hi}] at beta={ctx.beta}")
     k = min(range(first, end), key=words.__getitem__)
-    return words[k], base + offsets[k]
+    return words[k], _wrap(landing(k))
+
+
+def _extend_s3(ctx: BetaContext, m: int, prefix_word: str, orbit):
+    """:func:`extend_block_s3` with the least and greatest landing value."""
+    _require_pair_mode(ctx, m)
+    iv = pair_steering_interval(ctx)
+    prec = ctx.precision_bits
+    o = to_raw(orbit, prec)
+    if not iv.window.contains_raw(o):
+        with workprec(prec):
+            raise InvalidPoint(
+                f"orbit {_wrap(o)} outside steering interval [{iv.lo}, {iv.hi}]")
+    climbed = _climb(ctx, iv.core, o, m + 1)
+    if climbed is None:
+        with workprec(prec):
+            raise ContainmentViolation(
+                f"forced {'climb' if mpf_cmp(o, iv.core.lo_w._mpf_) < 0 else 'descent'}"
+                f" into the core took more than m+1={m + 1} steps at beta={ctx.beta}")
+    forced, v = climbed
+    k = len(forced)
+    steer_len = m + 1 - k
+    vb = mpf_mul(ctx.beta._mpf_, v, prec, _RND)
+    out = []
+    for digit in ("0", "1"):
+        if digit == "1":
+            vb = mpf_sub(vb, fone, prec, _RND)
+        if not ctx.base.contains_raw(vb):
+            with workprec(prec):
+                raise ContainmentViolation(
+                    f"branch digit {digit} leaves the admissible interval from "
+                    f"core value {_wrap(v)} at beta={ctx.beta}")
+        steer, vf = _steer_into(ctx, iv.window, _wrap(vb), steer_len)
+        out.append((forced + digit + steer, vf))
+    (w0, v0), (w1, v1) = out
+    if w0[k] == w1[k]:
+        raise ContainmentViolation("branch words agree at the branch position")
+    return tuple(out), ((v0, v1) if mpf_cmp(v0._mpf_, v1._mpf_) <= 0 else (v1, v0))
 
 
 def extend_block_s3(ctx: BetaContext, m: int, prefix_word: str, orbit):
@@ -357,34 +448,7 @@ def extend_block_s3(ctx: BetaContext, m: int, prefix_word: str, orbit):
     interval.  Returns a pair of (word, final_orbit) tuples whose words
     differ at the branch position.
     """
-    _require_pair_mode(ctx, m)
-    iv = pair_steering_interval(ctx)
-    with workprec(ctx.precision_bits):
-        orbit = mpf(orbit)
-        if not iv.window.contains(orbit):
-            raise InvalidPoint(
-                f"orbit {orbit} outside steering interval [{iv.lo}, {iv.hi}]")
-        climbed = _climb(ctx, iv.core, orbit, m + 1)
-        if climbed is None:
-            raise ContainmentViolation(
-                f"forced {'climb' if orbit < iv.core.lo_w else 'descent'} into "
-                f"the core took more than m+1={m + 1} steps at beta={ctx.beta}")
-        forced, v = climbed
-        k = len(forced)
-        steer_len = m + 1 - k
-        out = []
-        for digit in ("0", "1"):
-            vb = ctx.beta * v - int(digit)
-            if not ctx.base.contains(vb):
-                raise ContainmentViolation(
-                    f"branch digit {digit} leaves the admissible interval from "
-                    f"core value {v} at beta={ctx.beta}")
-            steer, vf = _steer_into(ctx, iv.window, vb, steer_len)
-            out.append((forced + digit + steer, vf))
-        words = [w for w, _ in out]
-        if words[0][k] == words[1][k]:
-            raise ContainmentViolation("branch words agree at the branch position")
-        return tuple(out)
+    return _extend_s3(ctx, m, prefix_word, orbit)[0]
 
 
 @dataclass(frozen=True)
@@ -392,7 +456,8 @@ class GeneratorRun:
     """Completed generator run: the entry word plus one prefix stage per
     block.  Stage s holds 2^(2ms) words (majority mode) or 2^s words
     (steered-pair mode) of length entry_steps + s * block_length, each with
-    its orbit value inside the steering interval."""
+    its orbit value inside the steering interval, and ``extremes[s]`` is
+    the least and the greatest orbit value of stage s."""
 
     mode: str
     m: int
@@ -401,6 +466,7 @@ class GeneratorRun:
     entry_steps: int
     block_length: int
     stages: tuple  # tuple of tuples of (word, orbit_value)
+    extremes: tuple  # tuple of (least, greatest) orbit value per stage
 
     @property
     def num_blocks(self) -> int:
@@ -431,29 +497,37 @@ def _run_generator(ctx: BetaContext, mode: str, m: int, x, num_blocks: int,
     if mode == MODE_MAJORITY:
         entry, steps = entry_word_m(ctx, m, x)
         block_length = 2 * m + 1
-        extend = extend_block_m
+        extend = _extend_m
     else:
         entry, steps = entry_word_s3(ctx, m, x)
         block_length = m + 2
-        extend = extend_block_s3
+        extend = _extend_s3
     with workprec(ctx.precision_bits):
-        v0 = apply_word(ctx, entry, mpf(x))
-        stages = [((entry, v0),)]
-        for s in range(1, num_blocks + 1):
-            # parents are in lexicographic order and each parent's blocks,
-            # all of one length, come out in it, so the stage is sorted
-            nxt = []
-            for w, v in stages[-1]:
-                for block, nv in extend(ctx, m, w, v):
-                    nxt.append((w + block, nv))
-            expected = _expected_stage_count(mode, m, s)
-            if len(nxt) != expected:
-                raise ContainmentViolation(
-                    f"stage {s} produced {len(nxt)} words, expected {expected}")
-            stages.append(tuple(nxt))
-        return GeneratorRun(mode=mode, m=m, x=mpf(x), entry_word=entry,
-                            entry_steps=steps, block_length=block_length,
-                            stages=tuple(stages))
+        x = mpf(x)
+        v0 = apply_word(ctx, entry, x)
+    stages = [((entry, v0),)]
+    extremes = [(v0, v0)]
+    for s in range(1, num_blocks + 1):
+        # parents are in lexicographic order and each parent's blocks,
+        # all of one length, come out in it, so the stage is sorted
+        nxt = []
+        least = greatest = None
+        for w, v in stages[-1]:
+            blocks, (lo, hi) = extend(ctx, m, w, v)
+            nxt.extend((w + block, nv) for block, nv in blocks)
+            if least is None or mpf_cmp(lo._mpf_, least._mpf_) < 0:
+                least = lo
+            if greatest is None or mpf_cmp(hi._mpf_, greatest._mpf_) > 0:
+                greatest = hi
+        expected = _expected_stage_count(mode, m, s)
+        if len(nxt) != expected:
+            raise ContainmentViolation(
+                f"stage {s} produced {len(nxt)} words, expected {expected}")
+        stages.append(tuple(nxt))
+        extremes.append((least, greatest))
+    return GeneratorRun(mode=mode, m=m, x=x, entry_word=entry,
+                        entry_steps=steps, block_length=block_length,
+                        stages=tuple(stages), extremes=tuple(extremes))
 
 
 def run_generator_m(ctx: BetaContext, m: int, x, num_blocks: int,

@@ -8,6 +8,12 @@ the context's working precision.  64-bit doubles misclassify interval
 membership after a few dozen map applications when beta is close to 1, so
 the default working width is 128 bits with a comparison tolerance of 2^-64
 for boundary classification.
+
+Contexts with equal ``(beta, precision_bits, comparison_tolerance)`` share
+one table dict, ``BetaContext.cache``, from a bounded process-wide store,
+so tables that other modules derive from a base are built once per process.
+The generators' hot loops run on raw libmp values (the ``_mpf_`` tuples of
+:func:`to_raw`); :class:`Window` decides containment for both kinds.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import mpf_cmp, mpf_pos, round_nearest
 
 from .errors import NoRootFound, OutOfDomain
 
@@ -38,7 +45,8 @@ class Window:
     """A closed interval [lo, hi] with its tolerance-widened ends
     ``lo_w = lo - tol`` and ``hi_w = hi + tol``; build it with
     :meth:`BetaContext.window`.  mpf comparisons are exact at any
-    precision, so ``contains`` needs no working precision of its own."""
+    precision, so ``contains`` needs no working precision of its own, and
+    ``contains_raw`` makes the same two comparisons on a raw value."""
 
     lo: object
     hi: object
@@ -47,6 +55,36 @@ class Window:
 
     def contains(self, x) -> bool:
         return self.lo_w <= x <= self.hi_w
+
+    def contains_raw(self, v) -> bool:
+        return mpf_cmp(self.lo_w._mpf_, v) <= 0 and mpf_cmp(v, self.hi_w._mpf_) <= 0
+
+
+def to_raw(x, precision_bits: int) -> tuple:
+    """x rounded to nearest at ``precision_bits``, as a libmp ``_mpf_``
+    tuple: what ``mpf(x)._mpf_`` gives under ``workprec(precision_bits)``,
+    without entering the context when x is already an mpf."""
+    if type(x) is mpf:
+        return mpf_pos(x._mpf_, precision_bits, round_nearest)
+    with workprec(precision_bits):
+        return mpf(x)._mpf_
+
+
+# Table dicts of ``BetaContext.cache``, one per (beta, precision_bits,
+# comparison_tolerance), least recently used first; the store drops its
+# oldest dict past _MAX_SHARED_BASES.
+_SHARED_TABLES: dict = {}
+_MAX_SHARED_BASES = 32
+
+
+def _shared_tables(key: tuple) -> dict:
+    tables = _SHARED_TABLES.pop(key, None)
+    if tables is None:
+        tables = {}
+        if len(_SHARED_TABLES) >= _MAX_SHARED_BASES:
+            del _SHARED_TABLES[next(iter(_SHARED_TABLES))]
+    _SHARED_TABLES[key] = tables
+    return tables
 
 
 class BetaContext:
@@ -85,12 +123,14 @@ class BetaContext:
             self.core_hi = b / (b * b - 1)
         self.base = self.window(0, self.one_over_beta_minus_one)
         self._powers = [mpf(1), self.beta]  # beta^n cache, grown on demand
-        # Tables other modules build once per context (contexts are otherwise
-        # immutable).  ``generators`` keeps here the validated steering
-        # intervals with their windows, the pair-mode check for each m, the
-        # majority block words with their offsets, and the offset-sorted
+        # Tables other modules build once per base and process: every context
+        # with this (beta, precision_bits, comparison_tolerance) gets the same
+        # dict.  ``generators`` keeps here the validated steering intervals
+        # with their windows, the pair-mode check for each m, the majority
+        # block words with their raw offsets, and the raw-offset-sorted
         # steering words for each length.
-        self.cache: dict = {}
+        self.cache: dict = _shared_tables(
+            (b._mpf_, self.precision_bits, self.comparison_tolerance._mpf_))
 
     def __repr__(self):
         return (f"BetaContext(beta={mp.nstr(self.beta, 20)}, "
@@ -182,9 +222,14 @@ def _sparse(terms) -> tuple:
                         reverse=True))
 
 
-def polynomial_spec(family: PolynomialFamily, m: int) -> PolynomialSpec:
-    if m < 1:
+def _require_index(m) -> None:
+    """Raise ValueError unless m is an int >= 1 (a bool is not one)."""
+    if type(m) is bool or not isinstance(m, int) or m < 1:
         raise ValueError("m must be a positive integer")
+
+
+def polynomial_spec(family: PolynomialFamily, m: int) -> PolynomialSpec:
+    _require_index(m)
     if family is PolynomialFamily.OMEGA_1:
         terms = [(4 * m + 3, 1), (2 * m + 2, -1), (m + 2, -1), (m + 1, -1),
                  (1, 1), (0, 1)]
@@ -429,12 +474,14 @@ def _checked_threshold(sequence: str, m: int, abs_tol: float):
 def omega_threshold(m: int, abs_tol: float = DEFAULT_ROOT_TOL):
     """Base threshold below which the majority-block generator is valid:
     the minimum of the three OMEGA family roots for this m."""
+    _require_index(m)  # before the cache, where True would hit the entry of 1
     return _checked_threshold("omega", m, abs_tol)
 
 
 def lambda_threshold(m: int, abs_tol: float = DEFAULT_ROOT_TOL):
     """Base threshold below which the steered-pair generator is valid:
     the smallest LAMBDA family root above 1.  Lies below (1+sqrt(5))/2."""
+    _require_index(m)
     return _checked_threshold("lambda", m, abs_tol)
 
 

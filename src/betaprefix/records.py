@@ -17,11 +17,11 @@ import json
 import math
 
 from mpmath import mpf, workprec
-from mpmath.libmp import mpf_pos, round_nearest, to_str
+from mpmath.libmp import to_str
 
 from .bounds import BoundReport
 from .generators import GeneratorRun
-from .numeric import DEFAULT_PRECISION_BITS
+from .numeric import DEFAULT_PRECISION_BITS, to_raw
 from .prefixes import GrowthEstimate, PrefixSet
 
 
@@ -37,12 +37,7 @@ def real_repr(value, precision_bits: int = DEFAULT_PRECISION_BITS) -> str:
     context.
     """
     digits = math.ceil(precision_bits * math.log10(2)) + 2
-    if type(value) is mpf:
-        raw = mpf_pos(value._mpf_, precision_bits, round_nearest)
-    else:
-        with workprec(precision_bits):
-            raw = mpf(value)._mpf_
-    return to_str(raw, digits, strip_zeros=True)
+    return to_str(to_raw(value, precision_bits), digits, strip_zeros=True)
 
 
 def parse_real(text: str, precision_bits: int = DEFAULT_PRECISION_BITS):
@@ -94,15 +89,14 @@ def generator_run_records(run: GeneratorRun, beta,
         "block_length": run.block_length,
         "num_blocks": run.num_blocks,
     }]
-    for s, stage in enumerate(run.stages):
-        values = [v for _, v in stage]
+    for s, (stage, (least, greatest)) in enumerate(zip(run.stages, run.extremes)):
         recs.append({
             "kind": "stage",
             "index": s,
             "count": len(stage),
             "word_length": len(stage[0][0]),
-            "orbit_min": real_repr(min(values), precision_bits),
-            "orbit_max": real_repr(max(values), precision_bits),
+            "orbit_min": real_repr(least, precision_bits),
+            "orbit_max": real_repr(greatest, precision_bits),
         })
         if include_words:
             for w, v in stage:

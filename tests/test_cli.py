@@ -173,6 +173,15 @@ class TestGenerate:
         assert code == 0, err
         assert f"stage 1: {4 ** int(m)} words" in out
 
+    def test_tolerance_zero_from_the_pivot(self, capsys):
+        # x is the pivot 1/(beta^2-1) itself, and the block 11111 from it
+        # lands exactly on the lower end of the steering interval
+        code, out, err = run_cli(
+            capsys, "generate", "1.0255415177762208234213403557077981531620025634765625",
+            "19.329122989026071515893897766907276019355", "2", "1", "--tolerance", "0")
+        assert code == 0, err
+        assert "stage 1: 16 words" in out
+
     def test_records(self, capsys):
         code, out, _ = run_cli(capsys, "generate", "1.05", "11.0", "1", "2",
                                "--format", "records")
@@ -201,6 +210,8 @@ class TestGenerate:
          "b85da73307724254920fe1f780743ea5d16719ca29e638af5e85325a7033697f"),
         (["lambda:3", "0.4", "3", "6", "--mode", "s3", "--precision-bits", "96"],
          "b2275ed049393131c0c78d76bd4a95601cbaf9645620be0109bf5c212d4a1505"),
+        (["lambda:4", "0.7", "4", "7", "--mode", "s3"],
+         "536a2f8941c4ba6031a2a03e9132bad467d776ba2b85a5988593a4b87545c2f4"),
     ])
     def test_records_are_pinned(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, "generate", *argv, "--format", "records")

@@ -1,5 +1,6 @@
 """Tests for the steering intervals, entry words and the two generators."""
 
+import bisect
 import itertools
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from mpmath import frexp, mpf, workprec
 
 import betaprefix.generators as gn
+import betaprefix.numeric as numeric
 from betaprefix import (BetaContext, ContainmentViolation, InvalidPoint,
                         MemoryGuard, OutOfDomain, apply_map, apply_word,
                         block_steering_interval, entry_word_m, entry_word_s3,
@@ -53,9 +55,13 @@ class TestBlockSteeringInterval:
             ctx = BetaContext(beta, precision_bits=precision)
             iv = block_steering_interval(ctx, m)
             assert 0 <= iv.lo < iv.pivot < iv.hi <= ctx.one_over_beta_minus_one
-            # endpoints are the (2m+1)-fold map images of the core
-            assert iv.lo == apply_word(ctx, "1" * (2 * m + 1), ctx.core_lo)
-            assert iv.hi == apply_word(ctx, "0" * (2 * m + 1), ctx.core_hi)
+            # endpoints are the (2m+1)-fold map images of the core, in the
+            # affine form beta^(2m+1) * v + offset of the block kernel
+            n = 2 * m + 1
+            with workprec(ctx.precision_bits):
+                assert iv.lo == ctx.power(n) * ctx.core_lo + apply_word(ctx, "1" * n, 0)
+            assert iv.hi == apply_word(ctx, "0" * n, ctx.core_hi)
+            assert extend_block_m(ctx, m, "", iv.pivot)[-1] == ("1" * n, iv.lo)
             _assert_closed_forms(ctx, iv, 2 * m + 1)
             # the core two-cycle sits inside the interval
             assert iv.lo <= ctx.core_lo < ctx.core_hi <= iv.hi
@@ -558,3 +564,249 @@ class TestGeneratorRuns:
         for sa, sb in zip(a.stages, b.stages):
             assert [w for w, _ in sa] == [w for w, _ in sb]
             assert all(va == vb for (_, va), (_, vb) in zip(sa, sb))
+
+
+def test_tolerance_zero_block_from_the_pivot():
+    # the block 1^(2m+1) from the pivot defines the interval's lower end, and
+    # with no tolerance it must land on that end, not one ulp below it
+    ctx = BetaContext(1.0255415177762208, comparison_tolerance=0)
+    iv = block_steering_interval(ctx, 2)
+    run = run_generator_m(ctx, 2, ctx.core_lo, 1)
+    assert len(run.stages[1]) == 16
+    assert run.stages[1][-1] == ("11111", iv.lo)
+    assert run.extremes[1][0] == iv.lo
+
+
+# ------------------------------------------------ mpf-operator reference
+#
+# The orbit loops as they were written with mpf operators under workprec.
+# The library runs the same correctly rounded libmp operations on raw
+# tuples, so every value, word and error must come out bit for bit equal.
+
+def _ref_climb(ctx, window, v, cap):
+    up = v < window.lo_w
+    digits = ""
+    while v < window.lo_w if up else v > window.hi_w:
+        if len(digits) == cap:
+            return None
+        v = ctx.beta * v if up else ctx.beta * v - 1
+        digits += "0" if up else "1"
+    return digits, v
+
+
+def _ref_extend_m(ctx, m, prefix_word, orbit):
+    iv = block_steering_interval(ctx, m)
+    with workprec(ctx.precision_bits):
+        orbit = mpf(orbit)
+        if not iv.window.contains(orbit):
+            raise InvalidPoint(
+                f"orbit {orbit} outside steering interval [{iv.lo}, {iv.hi}]")
+        length = 2 * m + 1
+        heavy = "1" if orbit >= iv.pivot else "0"
+        scale = ctx.power(length)
+        out = []
+        for block in gn._majority_words(length, heavy):
+            v = scale * orbit + apply_word(ctx, block, 0)
+            if not iv.window.contains(v):
+                raise ContainmentViolation(
+                    f"block {block} (after {prefix_word!r}) leaves the steering "
+                    f"interval: value {v} not in [{iv.lo}, {iv.hi}] at beta={ctx.beta}")
+            out.append((block, v))
+        return out
+
+
+def _ref_steer(ctx, target, value, length):
+    if length == 0:
+        if target.contains(value):
+            return "", value
+        raise NoSteeringWord(
+            f"value {value} not in steering interval and no steering steps left")
+    words = ("".join(bits) for bits in itertools.product("01", repeat=length))
+    table = sorted((apply_word(ctx, w, 0), w) for w in words)
+    offsets, words = [q for q, _ in table], [w for _, w in table]
+    base = ctx.power(length) * value
+    landing = lambda q: base + q
+    first = bisect.bisect_left(offsets, target.lo_w, key=landing)
+    end = bisect.bisect_right(offsets, target.hi_w, lo=first, key=landing)
+    if first == end:
+        raise NoSteeringWord(
+            f"no word of length {length} steers {value} back into "
+            f"[{target.lo}, {target.hi}] at beta={ctx.beta}")
+    k = min(range(first, end), key=words.__getitem__)
+    return words[k], base + offsets[k]
+
+
+def _ref_extend_s3(ctx, m, prefix_word, orbit):
+    gn._require_pair_mode(ctx, m)
+    iv = pair_steering_interval(ctx)
+    with workprec(ctx.precision_bits):
+        orbit = mpf(orbit)
+        if not iv.window.contains(orbit):
+            raise InvalidPoint(
+                f"orbit {orbit} outside steering interval [{iv.lo}, {iv.hi}]")
+        climbed = _ref_climb(ctx, iv.core, orbit, m + 1)
+        if climbed is None:
+            raise ContainmentViolation(
+                f"forced {'climb' if orbit < iv.core.lo_w else 'descent'} into "
+                f"the core took more than m+1={m + 1} steps at beta={ctx.beta}")
+        forced, v = climbed
+        steer_len = m + 1 - len(forced)
+        out = []
+        for digit in ("0", "1"):
+            vb = ctx.beta * v - int(digit)
+            if not ctx.base.contains(vb):
+                raise ContainmentViolation(
+                    f"branch digit {digit} leaves the admissible interval from "
+                    f"core value {v} at beta={ctx.beta}")
+            steer, vf = _ref_steer(ctx, iv.window, vb, steer_len)
+            out.append((forced + digit + steer, vf))
+        return tuple(out)
+
+
+def _ref_stages(ctx, mode, m, x, num_blocks):
+    """Stages and per-stage (min, max) from the library's entry word."""
+    entry_fn, extend = ((entry_word_m, _ref_extend_m) if mode == gn.MODE_MAJORITY
+                        else (entry_word_s3, _ref_extend_s3))
+    entry, _ = entry_fn(ctx, m, x)
+    with workprec(ctx.precision_bits):
+        stages = [((entry, apply_word(ctx, entry, mpf(x))),)]
+        for _ in range(num_blocks):
+            stages.append(tuple((w + b, nv) for w, v in stages[-1]
+                                for b, nv in extend(ctx, m, w, v)))
+    extremes = [(min(v for _, v in st), max(v for _, v in st)) for st in stages]
+    return stages, extremes
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ContainmentViolation, InvalidPoint, NoSteeringWord, OutOfDomain) as exc:
+        return type(exc), str(exc)
+
+
+def _bits(result):
+    """Words and raw values, so that equal means bit-identical."""
+    if isinstance(result, tuple) and result and isinstance(result[0], type):
+        return result  # an error
+    return [(w, v._mpf_) for w, v in result]
+
+
+_BIT_PRECISIONS = [53, 96, 128, 200]
+_BIT_TOLERANCES = [0, None, "1e-30"]
+
+
+@pytest.mark.parametrize("precision", _BIT_PRECISIONS)
+@pytest.mark.parametrize("tolerance", _BIT_TOLERANCES)
+def test_raw_loops_are_bit_identical_to_mpf_operators(precision, tolerance, rng):
+    # mid-range bases and bases just below the thresholds (floats, so every
+    # precision holds them exactly)
+    cases = [(gn.MODE_MAJORITY, m, _beta_below_omega(m, f)) for m in (1, 2)
+             for f in (0.5, 0.9999)]
+    cases += [(gn.MODE_STEERED_PAIR, m, _beta_below_lambda(m, f)) for m in (1, 2, 3)
+              for f in (0.5, 0.9999)]
+    errors = 0
+    for mode, m, beta in cases:
+        ctx = BetaContext(beta, precision_bits=precision,
+                          comparison_tolerance=tolerance)
+        if mode == gn.MODE_MAJORITY:
+            iv, pair = block_steering_interval(ctx, m), (extend_block_m, _ref_extend_m)
+            marks = (iv.lo, iv.pivot, iv.hi)
+        else:
+            iv, pair = pair_steering_interval(ctx), (extend_block_s3, _ref_extend_s3)
+            marks = (iv.lo, iv.core_lo, iv.core_hi, iv.hi)
+        with workprec(precision):
+            orbits = [*marks, iv.hi * mpf("1.01")]
+            orbits += [iv.lo + mpf(rng.random()) * (iv.hi - iv.lo) for _ in range(6)]
+        for orbit in orbits:
+            got, want = (_bits(_outcome(fn, ctx, m, "01", orbit)) for fn in pair)
+            assert got == want
+            errors += isinstance(got, tuple)
+        # the forced climb on its own, from both sides of the core
+        window = ctx.window(ctx.core_lo, ctx.core_hi)
+        for orbit in orbits:
+            for cap in (1, 3):
+                got = gn._climb(ctx, window, orbit._mpf_, cap)
+                with workprec(precision):
+                    want = _ref_climb(ctx, window, orbit, cap)
+                assert got == (want and (want[0], want[1]._mpf_))
+        # whole runs, extremes included
+        run_fn = run_generator_m if mode == gn.MODE_MAJORITY else run_generator_s3
+        blocks = {gn.MODE_MAJORITY: 3 - m, gn.MODE_STEERED_PAIR: 4}[mode]
+        for x in (1.0, ctx.core_lo, ctx.one_over_beta_minus_one * mpf("0.93")):
+            got = _outcome(run_fn, ctx, m, x, blocks)
+            want = _outcome(_ref_stages, ctx, mode, m, x, blocks)
+            if isinstance(want, tuple) and isinstance(want[0], type):
+                assert got == want
+                errors += 1
+                continue
+            stages, extremes = want
+            assert [_bits(st) for st in got.stages] == [_bits(st) for st in stages]
+            assert ([(lo._mpf_, hi._mpf_) for lo, hi in got.extremes]
+                    == [(lo._mpf_, hi._mpf_) for lo, hi in extremes])
+    assert errors > 0  # the error paths were compared too
+
+
+@pytest.mark.parametrize("precision", [53, 128])
+def test_violations_are_those_of_mpf_operators(precision, monkeypatch, rng):
+    # past the thresholds blocks escape; the same block, value and message
+    # must be reported, and the same forced runs must overrun
+    monkeypatch.setattr(gn, "omega_threshold", lambda m, abs_tol=1e-9: mpf(2))
+    monkeypatch.setattr(gn, "lambda_threshold", lambda m, abs_tol=1e-9: mpf(2))
+    violations = 0
+    for mode, m, beta in [(gn.MODE_MAJORITY, 1, float(omega_threshold(1)) + 3e-3),
+                          (gn.MODE_MAJORITY, 2, float(omega_threshold(2)) + 2e-3),
+                          (gn.MODE_STEERED_PAIR, 2, float(lambda_threshold(2)) + 1e-2)]:
+        ctx = BetaContext(beta, precision_bits=precision)
+        if mode == gn.MODE_MAJORITY:
+            iv, pair = block_steering_interval(ctx, m), (extend_block_m, _ref_extend_m)
+        else:
+            iv, pair = pair_steering_interval(ctx), (extend_block_s3, _ref_extend_s3)
+        with workprec(precision):
+            orbits = [iv.lo, iv.hi]
+            orbits += [iv.lo + mpf(rng.random()) * (iv.hi - iv.lo) for _ in range(8)]
+        for orbit in orbits:
+            got, want = (_bits(_outcome(fn, ctx, m, "10", orbit)) for fn in pair)
+            assert got == want
+            violations += got[0] is ContainmentViolation
+    assert violations > 0
+
+
+# ------------------------------------------------------- shared tables
+
+class TestSharedTables:
+    def test_equal_keys_share_tables(self):
+        a, b = BetaContext("1.02"), BetaContext("1.02")
+        assert a.cache is b.cache is BetaContext(a.beta).cache
+        assert block_steering_interval(a, 2) is block_steering_interval(b, 2)
+        assert gn._steering_table(a, 3) is gn._steering_table(b, 3)
+        assert gn._block_words(a, 5, "1") is gn._block_words(b, 5, "1")
+
+    @pytest.mark.parametrize("other", [
+        {"precision_bits": 96}, {"comparison_tolerance": "1e-30"},
+        {"comparison_tolerance": 0}])
+    def test_other_precision_or_tolerance_does_not(self, other):
+        beta = _beta_below_omega(2)
+        a, b = BetaContext(beta), BetaContext(beta, **other)
+        assert a.cache is not b.cache
+        assert block_steering_interval(a, 2) is not block_steering_interval(b, 2)
+
+    def test_failed_validation_is_not_stored(self):
+        contexts = [BetaContext("1.55") for _ in range(2)]  # above omega_2, lambda_2
+        for ctx in contexts:
+            with pytest.raises(OutOfDomain):
+                block_steering_interval(ctx, 2)
+            with pytest.raises(OutOfDomain):
+                gn._require_pair_mode(ctx, 2)
+        assert ("block_steering_interval", 2) not in contexts[0].cache
+        assert ("_require_pair_mode", 2) not in contexts[0].cache
+
+    def test_store_is_bounded(self):
+        cap = numeric._MAX_SHARED_BASES
+        contexts = [BetaContext(1 + i / 997) for i in range(1, 2 * cap + 2)]
+        for ctx in contexts:
+            pair_steering_interval(ctx)
+        assert len(numeric._SHARED_TABLES) == cap
+        # the most recently used bases are kept, the oldest dropped
+        assert BetaContext(contexts[-1].beta).cache is contexts[-1].cache
+        assert BetaContext(contexts[0].beta).cache is not contexts[0].cache

@@ -88,6 +88,15 @@ class TestWindow:
                 assert win.contains(x) == want
             assert win.contains(ends[0]) and win.contains(ends[1])
 
+    @pytest.mark.parametrize("precision", [53, 128])
+    @pytest.mark.parametrize("tolerance", [0, None])
+    def test_contains_raw_is_contains(self, precision, tolerance):
+        ctx = BetaContext("1.3", precision_bits=precision,
+                          comparison_tolerance=tolerance)
+        win = ctx.window(ctx.core_lo, ctx.core_hi)
+        for x in (*_around(win.lo_w, precision), *_around(win.hi_w, precision)):
+            assert win.contains_raw(x._mpf_) == win.contains(x)
+
     @pytest.mark.parametrize("tolerance", [0, None])
     def test_base_is_the_admissible_window(self, tolerance):
         ctx = BetaContext("1.7", comparison_tolerance=tolerance)
@@ -190,6 +199,11 @@ class TestPolynomials:
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             polynomial_spec(PolynomialFamily.LAMBDA, 0)
+
+    @pytest.mark.parametrize("m", [1.5, True, 2.0])
+    def test_rejects_m_that_is_not_an_int(self, m):
+        with pytest.raises(ValueError, match="positive integer"):
+            polynomial_spec(PolynomialFamily.OMEGA_1, m)
 
     def test_string_rendering(self):
         assert polynomial_string(polynomial_spec(PolynomialFamily.OMEGA_1, 1)) == \
@@ -447,3 +461,10 @@ class TestRoots:
             omega_threshold(0)
         with pytest.raises(ValueError):
             lambda_threshold(-3)
+
+    @pytest.mark.parametrize("m", [1.5, True, 2.0])
+    def test_thresholds_reject_m_that_is_not_an_int(self, m):
+        omega_threshold(1), lambda_threshold(1), omega_threshold(2)  # cached
+        for threshold in (omega_threshold, lambda_threshold):
+            with pytest.raises(ValueError, match="positive integer"):
+                threshold(m)
