@@ -18,29 +18,35 @@ the defining polynomial inequality for the given beta and aborts loudly.
 
 The generator tables are built once per base and process, in
 ``ctx.cache``, which every context with the same ``(beta, precision_bits,
-comparison_tolerance)`` shares (see ``numeric``), and every extension reads
-them: the validated steering intervals with their containment windows
-(``numeric.Window``), the pair-mode check for each m, the block words with
-their affine offsets, and per steering length the words sorted by offset.
-A table whose validation fails is not stored, so the failure repeats on
-every call.
+comparison_tolerance)`` shares (see ``numeric``): the validated steering
+intervals with their containment windows (``numeric.Window``), the
+pair-mode check for each m, the block words with their affine offsets, and
+per steering length the words sorted by offset.  A run looks its tables up
+once, when it builds its extension function, not once per parent.  A table
+whose validation fails is not stored, so the failure repeats on every call.
 
 A steering word of length L acts on an orbit value v as beta^L * v + q.
 Rounding ``beta^L * v + q`` is monotone in the offset q, so the words that
-land in the widened interval form one run of the offset-sorted table; two
-bisections find it, and the lexicographically smallest word of the run is
-the one a lexicographic scan of all 2^L words would find first, with the
-same value.  For the same reason a majority block's extreme values come
-from its extreme offsets, and each stage carries its least and greatest
-orbit value without comparing all of them.
+land in the widened interval form one run of the offset-sorted table, and
+the lexicographically smallest word of the run is the one a lexicographic
+scan of all 2^L words would find first, with the same value.  The table
+keeps its offsets exactly, as Python ints at one common binary exponent,
+and the run is found by C ``bisect`` on the exact integer targets
+``lo_w - beta^L * v`` and ``hi_w - beta^L * v``; rounding can only add the
+offsets next to either end of that run, and those few are decided by
+rounding their sums with ``numeric.round_nearest_even``.  For the same
+monotonicity a majority block's extreme values come from its extreme
+offsets, and each stage carries its least and greatest orbit value without
+comparing all of them.
 
-The orbit loops (the forced climb, the block extensions and the steering
-bisection) run on raw libmp values, the ``_mpf_`` tuples of mpf numbers:
-they call ``mpf_mul``, ``mpf_add``, ``mpf_sub`` and ``mpf_cmp`` at
-``ctx.precision_bits`` with round-to-nearest.  Each of these is correctly
-rounded and they run in the order the mpf operators would under
-``workprec``, so every value and every containment decision is the one the
-operators give, without their dispatch.  Values leave the loops as mpf.
+The other orbit loops (the forced climb and the block extensions) run on
+raw libmp values, the ``_mpf_`` tuples of mpf numbers: they call
+``mpf_mul``, ``mpf_add``, ``mpf_sub`` and ``mpf_cmp`` at
+``ctx.precision_bits`` with round-to-nearest.  Each of these, like the
+integer rounding of the steering search, is correctly rounded, and they
+run in the order the mpf operators would under ``workprec``, so every
+value and every containment decision is the one the operators give,
+without their dispatch.  Values leave the loops as mpf.
 """
 
 from __future__ import annotations
@@ -51,12 +57,14 @@ import itertools
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import fone, mpf_add, mpf_cmp, mpf_mul, mpf_sub, round_nearest
+from mpmath.libmp import (fone, from_man_exp, mpf_add, mpf_cmp, mpf_mul, mpf_sub,
+                          round_nearest)
 
 from .errors import (ContainmentViolation, InvalidPoint, MemoryGuard,
                      NoSteeringWord, OutOfDomain, Unreachable)
 from .numeric import (BetaContext, Window, apply_word, golden_ratio,
-                      lambda_threshold, omega_threshold, to_raw)
+                      lambda_threshold, omega_threshold, round_nearest_even,
+                      to_raw)
 from .prefixes import DEFAULT_SURVIVOR_CAP
 
 _ENTRY_DFS_BUDGET = 2_000_000
@@ -317,34 +325,41 @@ def _block_words(ctx: BetaContext, length: int, heavy: str) -> tuple:
             max(positions, key=offsets.__getitem__))
 
 
-def _extend_m(ctx: BetaContext, m: int, prefix_word: str, orbit):
-    """:func:`extend_block_m` with the least and greatest landing value.
+def _block_extender(ctx: BetaContext, m: int):
+    """``extend(prefix_word, orbit)`` for majority mode: the blocks of
+    :func:`extend_block_m` with the least and greatest landing value.  The
+    steering interval and both block tables are looked up once, here.
 
     Rounding keeps ``base + q`` monotone in q, so those are the landings of
     a least and a greatest offset, and every block lands inside the window
     when these two do; otherwise the first block in word order that leaves
     it is named."""
     iv = block_steering_interval(ctx, m)
+    window, pivot = iv.window, iv.pivot._mpf_
     prec = ctx.precision_bits
-    o = to_raw(orbit, prec)
-    if not iv.window.contains_raw(o):
-        with workprec(prec):
-            raise InvalidPoint(
-                f"orbit {_wrap(o)} outside steering interval [{iv.lo}, {iv.hi}]")
     length = 2 * m + 1
-    heavy = "1" if mpf_cmp(o, iv.pivot._mpf_) >= 0 else "0"
-    pairs, i_min, i_max = _block_words(ctx, length, heavy)
-    base = mpf_mul(ctx.power(length)._mpf_, o, prec, _RND)
-    out = [(block, _wrap(mpf_add(base, q, prec, _RND))) for block, q in pairs]
-    least, greatest = out[i_min][1], out[i_max][1]
-    if not (iv.window.contains_raw(least._mpf_)
-            and iv.window.contains_raw(greatest._mpf_)):
-        block, v = next((b, v) for b, v in out if not iv.window.contains(v))
-        with workprec(prec):
-            raise ContainmentViolation(
-                f"block {block} (after {prefix_word!r}) leaves the steering "
-                f"interval: value {v} not in [{iv.lo}, {iv.hi}] at beta={ctx.beta}")
-    return out, (least, greatest)
+    scale = ctx.power(length)._mpf_
+    tables = {heavy: _block_words(ctx, length, heavy) for heavy in "01"}
+
+    def extend(prefix_word: str, orbit):
+        o = to_raw(orbit, prec)
+        if not window.contains_raw(o):
+            with workprec(prec):
+                raise InvalidPoint(
+                    f"orbit {_wrap(o)} outside steering interval [{iv.lo}, {iv.hi}]")
+        pairs, i_min, i_max = tables["1" if mpf_cmp(o, pivot) >= 0 else "0"]
+        base = mpf_mul(scale, o, prec, _RND)
+        out = [(block, _wrap(mpf_add(base, q, prec, _RND))) for block, q in pairs]
+        least, greatest = out[i_min][1], out[i_max][1]
+        if not (window.contains_raw(least._mpf_)
+                and window.contains_raw(greatest._mpf_)):
+            block, v = next((b, v) for b, v in out if not window.contains(v))
+            with workprec(prec):
+                raise ContainmentViolation(
+                    f"block {block} (after {prefix_word!r}) leaves the steering "
+                    f"interval: value {v} not in [{iv.lo}, {iv.hi}] at beta={ctx.beta}")
+        return out, (least, greatest)
+    return extend
 
 
 def extend_block_m(ctx: BetaContext, m: int, prefix_word: str, orbit):
@@ -358,22 +373,43 @@ def extend_block_m(ctx: BetaContext, m: int, prefix_word: str, orbit):
     ContainmentViolation, since it falsifies the block-return inequality
     for this beta.
     """
-    return _extend_m(ctx, m, prefix_word, orbit)[0]
+    return _block_extender(ctx, m)(prefix_word, orbit)[0]
+
+
+def _man_exp(raw) -> tuple:
+    """A finite raw value as (signed mantissa, exponent)."""
+    sign, man, exp, _ = raw
+    return (-man if sign else man), exp
 
 
 @_per_base
 def _steering_table(ctx: BetaContext, length: int) -> tuple:
-    """(offsets, words): every word of the given length with its raw affine
-    offset, sorted by offset."""
-    words = ("".join(bits) for bits in itertools.product("01", repeat=length))
-    table = sorted((apply_word(ctx, w, 0), w) for w in words)
-    return [q._mpf_ for q, _ in table], [w for _, w in table]
+    """(offsets, exp, words): every word of the given length (at least 1)
+    with its affine offset, sorted by offset.  The offsets are dyadic, so
+    each is kept exactly as the int ``offset / 2^exp`` at the one common
+    exponent ``exp``."""
+    words = ["".join(bits) for bits in itertools.product("01", repeat=length)]
+    pairs = [_man_exp(apply_word(ctx, w, 0)._mpf_) for w in words]
+    exp = min(e for d, e in pairs if d)
+    table = sorted((d << (e - exp), w) for (d, e), w in zip(pairs, words))
+    return [q for q, _ in table], exp, [w for _, w in table]
 
 
-def _steer_into(ctx: BetaContext, target: Window, value, length: int):
+def _steer_into(ctx: BetaContext, target: Window, value, length: int,
+                table=None):
     """Lexicographically smallest word of the given length whose affine
     action sends the mpf ``value`` into the window ``target``, with the
-    value it lands on."""
+    value it lands on; ``table`` is ``_steering_table(ctx, length)``.
+
+    The landing of offset q is ``base + q`` rounded once, base being
+    beta^length * value rounded once (:func:`round_nearest_even`, on
+    integer mantissas).  The offsets whose exact sum lies inside the widened
+    ends are the run between the integer targets ``lo_w - base`` and
+    ``hi_w - base``, which C ``bisect`` finds.  The ends are representable
+    and rounding is monotone, so rounding can only add to that run: an
+    exact sum just below ``lo_w`` may round up onto it, one just above
+    ``hi_w`` down onto it.  So the run's ends are widened while the rounded
+    landing of the next offset still lies inside."""
     prec = ctx.precision_bits
     if length == 0:
         if target.contains_raw(value._mpf_):
@@ -381,59 +417,79 @@ def _steer_into(ctx: BetaContext, target: Window, value, length: int):
         with workprec(prec):
             raise NoSteeringWord(
                 f"value {value} not in steering interval and no steering steps left")
-    offsets, words = _steering_table(ctx, length)
-    base = mpf_mul(ctx.power(length)._mpf_, value._mpf_, prec, _RND)
+    offsets, exp, words = table or _steering_table(ctx, length)
+    pm, pe = ctx.int_powers(length)[length]
+    vd, ve = _man_exp(value._mpf_)
+    bd, be = round_nearest_even(pm * vd, pe + ve, prec)
     lo, hi = target.lo_w._mpf_, target.hi_w._mpf_
-    landing = lambda k: mpf_add(base, offsets[k], prec, _RND)  # monotone in k
-    positions = range(len(offsets))
-    first = bisect.bisect_left(positions, True,
-                               key=lambda k: mpf_cmp(landing(k), lo) >= 0)
-    end = bisect.bisect_left(positions, True, lo=first,
-                             key=lambda k: mpf_cmp(landing(k), hi) > 0)
+    (ld, le), (hd, he) = _man_exp(lo), _man_exp(hi)
+    c = min(be, exp, le, he)  # every sum below is exact at 2^c
+    bd <<= be - c
+    ld <<= le - c
+    hd <<= he - c
+    shift = exp - c
+
+    def landing(i):  # rounded, as an int at 2^c
+        d, e = round_nearest_even((offsets[i] << shift) + bd, c, prec)
+        return d << (e - c)
+
+    first = bisect.bisect_left(offsets, -((bd - ld) >> shift))  # ceil
+    end = bisect.bisect_right(offsets, (hd - bd) >> shift)  # floor
+    while first and landing(first - 1) >= ld:
+        first -= 1
+    while end < len(offsets) and landing(end) <= hd:
+        end += 1
     if first == end:
         with workprec(prec):
             raise NoSteeringWord(
                 f"no word of length {length} steers {value} back into "
                 f"[{target.lo}, {target.hi}] at beta={ctx.beta}")
     k = min(range(first, end), key=words.__getitem__)
-    return words[k], _wrap(landing(k))
+    return words[k], _wrap(from_man_exp(landing(k), c))
 
 
-def _extend_s3(ctx: BetaContext, m: int, prefix_word: str, orbit):
-    """:func:`extend_block_s3` with the least and greatest landing value."""
+def _pair_extender(ctx: BetaContext, m: int):
+    """``extend(prefix_word, orbit)`` for steered-pair mode: the pair of
+    :func:`extend_block_s3` with the least and greatest landing value.  The
+    pair-mode check, the steering interval and each steering table are
+    looked up once, here (a table when its length is first needed)."""
     _require_pair_mode(ctx, m)
     iv = pair_steering_interval(ctx)
-    prec = ctx.precision_bits
-    o = to_raw(orbit, prec)
-    if not iv.window.contains_raw(o):
-        with workprec(prec):
-            raise InvalidPoint(
-                f"orbit {_wrap(o)} outside steering interval [{iv.lo}, {iv.hi}]")
-    climbed = _climb(ctx, iv.core, o, m + 1)
-    if climbed is None:
-        with workprec(prec):
-            raise ContainmentViolation(
-                f"forced {'climb' if mpf_cmp(o, iv.core.lo_w._mpf_) < 0 else 'descent'}"
-                f" into the core took more than m+1={m + 1} steps at beta={ctx.beta}")
-    forced, v = climbed
-    k = len(forced)
-    steer_len = m + 1 - k
-    vb = mpf_mul(ctx.beta._mpf_, v, prec, _RND)
-    out = []
-    for digit in ("0", "1"):
-        if digit == "1":
-            vb = mpf_sub(vb, fone, prec, _RND)
-        if not ctx.base.contains_raw(vb):
+    prec, beta = ctx.precision_bits, ctx.beta._mpf_
+    tables = [None] * (m + 2)  # steering table per length
+
+    def extend(prefix_word: str, orbit):
+        o = to_raw(orbit, prec)
+        if not iv.window.contains_raw(o):
+            with workprec(prec):
+                raise InvalidPoint(
+                    f"orbit {_wrap(o)} outside steering interval [{iv.lo}, {iv.hi}]")
+        climbed = _climb(ctx, iv.core, o, m + 1)
+        if climbed is None:
             with workprec(prec):
                 raise ContainmentViolation(
-                    f"branch digit {digit} leaves the admissible interval from "
-                    f"core value {_wrap(v)} at beta={ctx.beta}")
-        steer, vf = _steer_into(ctx, iv.window, _wrap(vb), steer_len)
-        out.append((forced + digit + steer, vf))
-    (w0, v0), (w1, v1) = out
-    if w0[k] == w1[k]:
-        raise ContainmentViolation("branch words agree at the branch position")
-    return tuple(out), ((v0, v1) if mpf_cmp(v0._mpf_, v1._mpf_) <= 0 else (v1, v0))
+                    f"forced {'climb' if mpf_cmp(o, iv.core.lo_w._mpf_) < 0 else 'descent'}"
+                    f" into the core took more than m+1={m + 1} steps at beta={ctx.beta}")
+        forced, v = climbed
+        steer_len = m + 1 - len(forced)
+        if steer_len and tables[steer_len] is None:
+            tables[steer_len] = _steering_table(ctx, steer_len)
+        vb = mpf_mul(beta, v, prec, _RND)
+        out = []
+        for digit in ("0", "1"):
+            if digit == "1":
+                vb = mpf_sub(vb, fone, prec, _RND)
+            if not ctx.base.contains_raw(vb):
+                with workprec(prec):
+                    raise ContainmentViolation(
+                        f"branch digit {digit} leaves the admissible interval from "
+                        f"core value {_wrap(v)} at beta={ctx.beta}")
+            steer, vf = _steer_into(ctx, iv.window, _wrap(vb), steer_len,
+                                    tables[steer_len])
+            out.append((forced + digit + steer, vf))
+        (_, v0), (_, v1) = out
+        return tuple(out), ((v0, v1) if mpf_cmp(v0._mpf_, v1._mpf_) <= 0 else (v1, v0))
+    return extend
 
 
 def extend_block_s3(ctx: BetaContext, m: int, prefix_word: str, orbit):
@@ -445,10 +501,10 @@ def extend_block_s3(ctx: BetaContext, m: int, prefix_word: str, orbit):
     is forced until the core is reached (at most m+1 steps); strictly above,
     the upper map is forced symmetrically.  After the branch digit a
     steering word of the remaining length returns the orbit to the
-    interval.  Returns a pair of (word, final_orbit) tuples whose words
-    differ at the branch position.
+    interval.  Returns a pair of (word, final_orbit) tuples, which differ
+    at the branch position.
     """
-    return _extend_s3(ctx, m, prefix_word, orbit)[0]
+    return _pair_extender(ctx, m)(prefix_word, orbit)[0]
 
 
 @dataclass(frozen=True)
@@ -497,11 +553,11 @@ def _run_generator(ctx: BetaContext, mode: str, m: int, x, num_blocks: int,
     if mode == MODE_MAJORITY:
         entry, steps = entry_word_m(ctx, m, x)
         block_length = 2 * m + 1
-        extend = _extend_m
+        extend = _block_extender(ctx, m)
     else:
         entry, steps = entry_word_s3(ctx, m, x)
         block_length = m + 2
-        extend = _extend_s3
+        extend = _pair_extender(ctx, m)
     with workprec(ctx.precision_bits):
         x = mpf(x)
         v0 = apply_word(ctx, entry, x)
@@ -513,7 +569,7 @@ def _run_generator(ctx: BetaContext, mode: str, m: int, x, num_blocks: int,
         nxt = []
         least = greatest = None
         for w, v in stages[-1]:
-            blocks, (lo, hi) = extend(ctx, m, w, v)
+            blocks, (lo, hi) = extend(w, v)
             nxt.extend((w + block, nv) for block, nv in blocks)
             if least is None or mpf_cmp(lo._mpf_, least._mpf_) < 0:
                 least = lo

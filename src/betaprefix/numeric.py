@@ -14,6 +14,10 @@ one table dict, ``BetaContext.cache``, from a bounded process-wide store,
 so tables that other modules derive from a base are built once per process.
 The generators' hot loops run on raw libmp values (the ``_mpf_`` tuples of
 :func:`to_raw`); :class:`Window` decides containment for both kinds.
+:func:`apply_word` and the steering search run on Python-int mantissas
+instead: a value ``d * 2^e`` is the pair ``(d, e)``, sums and products are
+exact integer operations, and :func:`round_nearest_even` rounds each result
+once, as the matching libmp operation would.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import mpf_cmp, mpf_pos, round_nearest
+from mpmath.libmp import from_man_exp, mpf_cmp, mpf_pos, round_nearest
 
 from .errors import NoRootFound, OutOfDomain
 
@@ -68,6 +72,25 @@ def to_raw(x, precision_bits: int) -> tuple:
         return mpf_pos(x._mpf_, precision_bits, round_nearest)
     with workprec(precision_bits):
         return mpf(x)._mpf_
+
+
+def round_nearest_even(d: int, e: int, precision_bits: int) -> tuple:
+    """d * 2^e rounded to nearest, ties to even, at ``precision_bits``, as
+    (d', e') with |d'| <= 2^precision_bits; an exact value comes back
+    unchanged.  Correct rounding is unique, so rounding the exact result of
+    a sum or product gives the value ``mpf_add``, ``mpf_sub`` or
+    ``mpf_mul`` gives on operands of at most ``precision_bits`` bits."""
+    n = d.bit_length() - precision_bits  # bit_length ignores the sign
+    if n <= 0:
+        return d, e
+    if d < 0:  # nearest-even is symmetric
+        q, e = round_nearest_even(-d, e, precision_bits)
+        return -q, e
+    q = d >> n
+    # round up past half, or at exactly half to an even q
+    if d >> (n - 1) & 1 and (q & 1 or d & ((1 << (n - 1)) - 1)):
+        q += 1
+    return q, e + n
 
 
 # Table dicts of ``BetaContext.cache``, one per (beta, precision_bits,
@@ -123,6 +146,7 @@ class BetaContext:
             self.core_hi = b / (b * b - 1)
         self.base = self.window(0, self.one_over_beta_minus_one)
         self._powers = [mpf(1), self.beta]  # beta^n cache, grown on demand
+        self._int_powers = []  # the same values as (mantissa, exponent)
         # Tables other modules build once per base and process: every context
         # with this (beta, precision_bits, comparison_tolerance) gets the same
         # dict.  ``generators`` keeps here the validated steering intervals
@@ -146,6 +170,15 @@ class BetaContext:
                 while len(pw) <= n:
                     pw.append(pw[-1] * self.beta)
         return pw[n]
+
+    def int_powers(self, n: int) -> list:
+        """beta^0 .. beta^n (at least) as (mantissa, exponent) pairs: the
+        exact values of :meth:`power`, grown on demand with it."""
+        ip = self._int_powers
+        if n >= len(ip):
+            self.power(n)
+            ip.extend(p._mpf_[1:3] for p in self._powers[len(ip):])
+        return ip
 
     def window(self, lo, hi) -> Window:
         """[lo, hi] with its ends widened by the comparison tolerance.
@@ -176,16 +209,36 @@ def apply_word(ctx: BetaContext, word: str, x):
     For word digits e_1..e_k this returns beta^k * x - sum e_n beta^(k-n),
     which equals the left-to-right iteration of :func:`apply_map` up to
     accumulated rounding.
+
+    Rounding order, at ``ctx.precision_bits`` and to nearest (ties to
+    even): x is rounded once, the product beta^k * x is rounded once, and
+    then, for n = 1..k in digit order, each subtraction of beta^(k-n) with
+    e_n = 1 is rounded once; the powers are those of ``ctx.power``.  These
+    are the operations ``ctx.power(k) * mpf(x)`` and ``acc -= ctx.power(k-n)``
+    run under ``workprec``, each correctly rounded, so the result is the
+    same ``_mpf_``; here they run on integer mantissas
+    (:func:`round_nearest_even`).
     """
+    if word.strip("01"):
+        raise ValueError(f"word must be over '0'/'1', got {word!r}")
     k = len(word)
-    with workprec(ctx.precision_bits):
-        acc = ctx.power(k) * mpf(x)
-        for n, ch in enumerate(word, start=1):
-            if ch == "1":
-                acc -= ctx.power(k - n)
-            elif ch != "0":
-                raise ValueError(f"word must be over '0'/'1', got {word!r}")
-        return acc
+    prec = ctx.precision_bits
+    sign, man, exp, _ = to_raw(x, prec)
+    if not man and exp:  # inf or nan: no finite power moves it
+        with workprec(prec):
+            return ctx.power(k) * mpf(x)
+    powers = ctx.int_powers(k)
+    pm, pe = powers[k]
+    d, e = round_nearest_even(-pm * man if sign else pm * man, pe + exp, prec)
+    for n, ch in enumerate(word, start=1):
+        if ch == "1":
+            pm, pe = powers[k - n]
+            if pe < e:
+                d, e = (d << (e - pe)) - pm, pe
+            else:
+                d -= pm << (pe - e)
+            d, e = round_nearest_even(d, e, prec)
+    return mp.make_mpf(from_man_exp(d, e))
 
 
 class PolynomialFamily(Enum):

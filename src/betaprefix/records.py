@@ -4,15 +4,18 @@ The records format is one JSON object per line with a ``kind`` field; the
 field schemas are documented in the README.  Real numbers are emitted as
 decimal strings with enough digits to round-trip at the producing context's
 binary precision: :func:`real_repr` rounds the value once to that precision
-and prints it with mpmath's ``libmp.to_str``, the formatter behind
-``mp.nstr``.  :func:`to_jsonl` writes each line as
-``json.dumps(record, sort_keys=True)`` would; the ``stage_word`` lines,
-nearly all of a generator run's output, come from one template with the
-same key order and separators.
+and prints it in one pass with its own digit conversion, which gives the
+string of mpmath's ``libmp.to_str`` (the formatter behind ``mp.nstr``) byte
+for byte; the few values it does not handle itself (zero, infinities, NaN,
+extreme exponents, precisions of 811 bits or more) go to ``to_str``.
+:func:`to_jsonl` writes each line as ``json.dumps(record, sort_keys=True)``
+would; the ``stage_word`` lines, nearly all of a generator run's output,
+come from one template with the same key order and separators.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -25,19 +28,77 @@ from .numeric import DEFAULT_PRECISION_BITS, to_raw
 from .prefixes import GrowthEstimate, PrefixSet
 
 
+_LOG2_10 = math.log(10, 2)  # the constant of libmp.to_digits_exp
+
+
+@functools.lru_cache(maxsize=64)
+def _print_constants(precision_bits: int) -> tuple:
+    """(dps, bitprec, min_fixed) of ``to_str`` for ``real_repr``'s digit
+    count at ``precision_bits``."""
+    dps = math.ceil(precision_bits * math.log10(2)) + 2
+    return dps, int((dps + 3) * _LOG2_10) + 10, min(-(dps // 3), -5)
+
+
+@functools.lru_cache(maxsize=None)
+def _pow10(n: int) -> int:
+    """10^n; ``real_repr`` asks for n below about 1300 only, as its binary
+    exponents stay within 3500."""
+    return 10 ** n
+
+
 def real_repr(value, precision_bits: int = DEFAULT_PRECISION_BITS) -> str:
     """Decimal string with enough digits to round-trip the binary value.
 
     The value is rounded to nearest at ``precision_bits`` (an mpf that
     already fits is unchanged; a str, int or float is converted as
-    ``mpf(value)`` at that precision) and printed by ``libmp.to_str`` with
-    ``ceil(precision_bits * log10(2)) + 2`` significant digits, trailing
-    zeros stripped.  That is the string ``mp.nstr`` gives for
-    ``mpf(value)`` under ``workprec(precision_bits)``, without entering the
-    context.
+    ``mpf(value)`` at that precision) and printed with
+    ``dps = ceil(precision_bits * log10(2)) + 2`` significant digits,
+    trailing zeros stripped: the string ``libmp.to_str`` gives, which is the
+    one ``mp.nstr`` gives for ``mpf(value)`` under
+    ``workprec(precision_bits)``.
+
+    A finite nonzero value is printed here in one pass, byte for byte as
+    ``to_str`` prints it: the value times a power of ten, floored to an
+    integer of at least ``dps + 3`` digits, is cut to ``dps`` digits and
+    rounded half up on the next one, then written in fixed-point form when
+    its decimal exponent lies strictly between ``min(-(dps // 3), -5)`` and
+    ``dps``, else as ``d.ddd`` with an exponent.  Zero, infinities, NaN,
+    binary exponents beyond 3500 (which ``to_str`` first scales by a power
+    of ten) and ``dps`` of 247 or more, from 811 bits on (where it splits
+    the digit conversion), go to ``to_str`` itself.
     """
-    digits = math.ceil(precision_bits * math.log10(2)) + 2
-    return to_str(to_raw(value, precision_bits), digits, strip_zeros=True)
+    dps, bitprec, min_fixed = _print_constants(precision_bits)
+    raw = to_raw(value, precision_bits)
+    sign, man, exp, bc = raw
+    if not man or abs(exp + bc) > 3500 or dps >= 247:
+        return to_str(raw, dps, strip_zeros=True)
+    fixprec = max(bitprec - exp - bc, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = exp + fixprec
+    digits = str((man << shift if shift >= 0 else man >> -shift) * _pow10(fixdps)
+                 >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    if len(digits) > dps and digits[dps] >= "5":
+        digits = str(int(digits[:dps]) + 1)
+        if len(digits) > dps:  # 99...9 rounded up to the next power of ten
+            digits = digits[:dps]
+            exponent += 1
+    else:
+        digits = digits[:dps]
+    if min_fixed < exponent < dps:
+        if exponent < 0:
+            text = "0." + "0" * (-exponent - 1) + digits
+        else:
+            text = digits[:exponent + 1] + "." + digits[exponent + 1:]
+        exponent = 0
+    else:
+        text = digits[:1] + "." + digits[1:]
+    text = text.rstrip("0")
+    if text[-1] == ".":
+        text += "0"
+    if exponent:
+        text += f"e{exponent:+d}"
+    return "-" + text if sign else text
 
 
 def parse_real(text: str, precision_bits: int = DEFAULT_PRECISION_BITS):
@@ -99,9 +160,8 @@ def generator_run_records(run: GeneratorRun, beta,
             "orbit_max": real_repr(greatest, precision_bits),
         })
         if include_words:
-            for w, v in stage:
-                recs.append({"kind": "stage_word", "stage": s, "word": w,
-                             "orbit_value": real_repr(v, precision_bits)})
+            recs += [{"kind": "stage_word", "stage": s, "word": w,
+                      "orbit_value": real_repr(v, precision_bits)} for w, v in stage]
     return recs
 
 
@@ -147,8 +207,8 @@ def to_jsonl(records: list) -> str:
     ``stage_word`` record holds two strings that need no JSON escaping, a
     0/1 word and a decimal orbit value, so its line is filled into a
     template with the sorted keys and ``json.dumps`` separators."""
-    return "".join(
+    return "".join([
         f'{{"kind": "stage_word", "orbit_value": "{rec["orbit_value"]}", '
         f'"stage": {rec["stage"]}, "word": "{rec["word"]}"}}\n'
         if rec["kind"] == "stage_word" else json.dumps(rec, sort_keys=True) + "\n"
-        for rec in records)
+        for rec in records])

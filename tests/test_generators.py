@@ -5,7 +5,8 @@ import itertools
 import math
 
 import pytest
-from mpmath import frexp, mpf, workprec
+from mpmath import frexp, mp, mpf, workprec
+from mpmath.libmp import mpf_add
 
 import betaprefix.generators as gn
 import betaprefix.numeric as numeric
@@ -387,21 +388,72 @@ def _scan_steer(ctx, lo, hi, value, length):
     raise NoSteeringWord("no word")
 
 
+def _exact_landing(ctx, value, word):
+    """beta^len(word) * value rounded once, plus the word's offset, the sum
+    left exact."""
+    with workprec(ctx.precision_bits):
+        base = ctx.power(len(word)) * value
+    return mp.make_mpf(mpf_add(base._mpf_, apply_word(ctx, word, 0)._mpf_))
+
+
 def _steer_values(ctx, lo, hi, length, rng):
-    """Values spread over the base interval, plus values a few ulps around
-    those that some word sends exactly onto a widened end."""
+    """Values spread over the base interval; values a few ulps around those
+    that some word sends exactly onto a widened end; and values from which
+    some word's exact landing lies within half an ulp outside a widened end,
+    so that only the rounding of the sum puts it on that end.  The last
+    kind needs an offset in a lower binade than the end: a sum finer than
+    the end's ulp comes only from such an offset."""
     ub = ctx.one_over_beta_minus_one
     values = [ub * mpf(i) / 10 for i in range(11)]
     tol = ctx.comparison_tolerance
     scale = ctx.power(length)
+    lo_w, hi_w = lo - tol, hi + tol
     for _ in range(3):
         w = "".join(rng.choice("01") for _ in range(length))
         q = apply_word(ctx, w, 0)
-        for end in (lo - tol, hi + tol):
+        for end in (lo_w, hi_w):
             v0 = (end - q) / scale
             ulp = mpf(2) ** (frexp(v0)[1] - ctx.precision_bits)
             values += [v0 + k * ulp for k in range(-2, 3)]
+    words = ["".join(bits) for bits in itertools.product("01", repeat=length)]
+    for end in (lo_w, hi_w):
+        finer = [w for w in words
+                 if 0 < abs(apply_word(ctx, w, 0)) < 2 ** (frexp(end)[1] - 1)]
+        for w in rng.sample(finer, min(4, len(finer))):
+            v0 = (end - apply_word(ctx, w, 0)) / scale
+            ulp = mpf(2) ** (frexp(v0)[1] - ctx.precision_bits)
+            for k in range(-6, 7):
+                v = v0 + k * ulp
+                exact = _exact_landing(ctx, v, w)
+                if not lo_w <= exact <= hi_w and mpf(exact) == end:
+                    values.append(v)
     return values
+
+
+def _steer_against_scan(ctx, lo, hi, rng):
+    """Compare ``_steer_into`` with the linear scan into [lo, hi] for every
+    length up to 7 from ``_steer_values``; returns how many chosen landings
+    sat on a widened end, and how many of those only rounding put there
+    (exact landing below ``lo_w``, above ``hi_w``)."""
+    window = ctx.window(lo, hi)
+    seen = {"on_end": 0, "moved_lo": 0, "moved_hi": 0}
+    with workprec(ctx.precision_bits):
+        for length in range(8):
+            for value in _steer_values(ctx, lo, hi, length, rng):
+                try:
+                    want = _scan_steer(ctx, lo, hi, value, length)
+                except NoSteeringWord:
+                    with pytest.raises(NoSteeringWord):
+                        gn._steer_into(ctx, window, value, length)
+                    continue
+                got = gn._steer_into(ctx, window, value, length)
+                assert got[0] == want[0] and got[1] == want[1]
+                if want[1] in (window.lo_w, window.hi_w):
+                    seen["on_end"] += 1
+                    exact = _exact_landing(ctx, value, want[0])
+                    seen["moved_lo"] += exact < window.lo_w
+                    seen["moved_hi"] += exact > window.hi_w
+    return seen
 
 
 @pytest.mark.parametrize("precision", [96, 128, 200])
@@ -415,22 +467,29 @@ def test_steer_bisection_matches_linear_scan(beta, precision, rng):
         ctx = BetaContext(beta, precision_bits=precision,
                           comparison_tolerance=tolerance)
         iv = pair_steering_interval(ctx)
-        window = iv.window
-        tol = ctx.comparison_tolerance
-        with workprec(precision):
-            ends = (iv.lo - tol, iv.hi + tol)
-            for length in range(8):
-                for value in _steer_values(ctx, iv.lo, iv.hi, length, rng):
-                    try:
-                        want = _scan_steer(ctx, iv.lo, iv.hi, value, length)
-                    except NoSteeringWord:
-                        with pytest.raises(NoSteeringWord):
-                            gn._steer_into(ctx, window, value, length)
-                        continue
-                    got = gn._steer_into(ctx, window, value, length)
-                    assert got[0] == want[0] and got[1] == want[1]
-                    on_end += want[1] in ends
+        on_end += _steer_against_scan(ctx, iv.lo, iv.hi, rng)["on_end"]
     assert on_end > 0  # some landings sat exactly on a widened end
+
+
+@pytest.mark.parametrize("precision", [53, 96, 128, 200])
+def test_steer_rounding_onto_widened_ends(precision, rng):
+    # At beta = 1.1 the pair interval [4.24, 5.76] lies in one binade above
+    # the offsets -1, -beta, ..., so sums round.  On a one-point window at
+    # either end of it, a word that only rounding lands on a widened end is
+    # the only word that lands, so the search must widen its run from
+    # either side to find it.  (On the whole interval such a word is seldom
+    # the lexicographically smallest of its run.)
+    for tolerance in (0, None):
+        ctx = BetaContext("1.1", precision_bits=precision,
+                          comparison_tolerance=tolerance)
+        iv = pair_steering_interval(ctx)
+        _steer_against_scan(ctx, iv.lo, iv.hi, rng)  # rounding sums, whole interval
+        moved_lo = moved_hi = 0
+        for end in (iv.lo, iv.hi):
+            seen = _steer_against_scan(ctx, end, end, rng)
+            moved_lo += seen["moved_lo"]
+            moved_hi += seen["moved_hi"]
+        assert moved_lo > 0 and moved_hi > 0
 
 
 def _forced_prefix(w0, w1):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import frexp, mp, mpf, workprec
+from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, mpf_sub, round_nearest
 
 from betaprefix import (BetaContext, NoRootFound, PolynomialFamily,
                         apply_map, apply_word, evaluate_polynomial,
@@ -16,7 +17,8 @@ from betaprefix import (BetaContext, NoRootFound, PolynomialFamily,
                         smallest_root_above_one)
 from betaprefix.numeric import (ROOT_SEARCH_COUNTS, PolynomialSpec,
                                 _certified_sign, _exact_sign, _sign_right_of_one,
-                                _sign_slack, descartes_bound_above_one)
+                                _sign_slack, descartes_bound_above_one,
+                                round_nearest_even)
 
 # Published threshold values (5 decimal places); the last-digit unit
 # tolerance absorbs the publication rounding.
@@ -171,6 +173,133 @@ class TestMaps:
                 for b in bits:
                     v = apply_map(ctx, b, v)
                 assert abs(apply_word(ctx, word, x) - v) < mpf(2) ** -64
+
+
+_PRECISIONS = [53, 96, 128, 200]
+
+
+def _signed(raw):
+    sign, man, exp, _ = raw
+    return (-man if sign else man), exp
+
+
+def _helper_sum(a, b, prec, subtract=False):
+    """a + b (or a - b) exactly on integers, then rounded by the helper."""
+    (da, ea), (db, eb) = _signed(a), _signed(b)
+    db = -db if subtract else db
+    e = min(ea, eb)
+    return from_man_exp(*round_nearest_even((da << (ea - e)) + (db << (eb - e)), e, prec))
+
+
+def _operand(rng, prec, exp):
+    """A raw value with a full ``prec``-bit mantissa of either sign at 2^exp."""
+    man = rng.getrandbits(prec) | 1 << (prec - 1)
+    return from_man_exp(-man if rng.random() < 0.5 else man, exp)
+
+
+class TestRoundNearestEven:
+    @pytest.mark.parametrize("prec", _PRECISIONS)
+    def test_equals_mpf_add_and_sub_on_random_operands(self, rng, prec):
+        for _ in range(2000):
+            a = _operand(rng, rng.randint(1, prec), rng.randint(-400, 400))
+            # exponent gaps up to twice the precision, both ways
+            b = _operand(rng, rng.randint(1, prec), a[2] + rng.randint(-2 * prec, 2 * prec))
+            assert _helper_sum(a, b, prec) == mpf_add(a, b, prec, round_nearest)
+            assert _helper_sum(a, b, prec, True) == mpf_sub(a, b, prec, round_nearest)
+            (da, ea), (db, eb) = _signed(a), _signed(b)
+            got = from_man_exp(*round_nearest_even(da * db, ea + eb, prec))
+            assert got == mpf_mul(a, b, prec, round_nearest)
+
+    @pytest.mark.parametrize("prec", _PRECISIONS)
+    def test_half_ulp_ties_round_to_even(self, rng, prec):
+        evens = odds = 0
+        for _ in range(400):
+            man = rng.getrandbits(prec) | 1 << (prec - 1)
+            a = from_man_exp(man, 1)  # ulp 2, so +-1 is exactly half an ulp
+            for b in (from_man_exp(1, 0), from_man_exp(-1, 0)):
+                got = _helper_sum(a, b, prec)
+                assert got == mpf_add(a, b, prec, round_nearest)
+                # 2 man +- 1 went to the neighbour with an even mantissa,
+                # a multiple of 4
+                assert got[2] >= 2
+            evens += man % 2 == 0
+            odds += man % 2 == 1
+        assert evens and odds
+        # the helper on a tie directly: 0b...x1 followed by exactly one half
+        assert round_nearest_even(0b1011, 0, 3) == (0b110, 1)
+        assert round_nearest_even(0b1001, 0, 3) == (0b100, 1)
+        assert round_nearest_even(-0b1011, 0, 3) == (-0b110, 1)
+
+    @pytest.mark.parametrize("prec", _PRECISIONS)
+    def test_carry_into_the_next_binade(self, prec):
+        top = from_man_exp((1 << prec) - 1, 0)  # all ones
+        for b in ((1, -1), (3, -2), (1, 0), (-1, -1)):
+            b = from_man_exp(*b)
+            got = _helper_sum(top, b, prec)
+            assert got == mpf_add(top, b, prec, round_nearest)
+        assert _helper_sum(top, from_man_exp(1, -1), prec) == from_man_exp(1, prec)
+        assert round_nearest_even((1 << (prec + 1)) - 1, 0, prec) == (1 << prec, 1)
+
+    @pytest.mark.parametrize("prec", _PRECISIONS)
+    def test_cancellation_to_zero(self, rng, prec):
+        for _ in range(50):
+            a = _operand(rng, prec, rng.randint(-300, 300))
+            got = _helper_sum(a, a, prec, subtract=True)
+            assert got == mpf_sub(a, a, prec, round_nearest) == from_man_exp(0, 0)
+        assert round_nearest_even(0, -77, prec) == (0, -77)
+
+    @pytest.mark.parametrize("prec", _PRECISIONS)
+    def test_exponent_gaps_wider_than_the_precision(self, rng, prec):
+        for gap in (prec + 1, prec + 2, prec + 5, 2 * prec + 3, 1000):
+            for _ in range(40):
+                a = _operand(rng, prec, 0)
+                b = _operand(rng, rng.randint(1, prec), -gap)
+                for x, y in ((a, b), (b, a)):
+                    assert _helper_sum(x, y, prec) == mpf_add(x, y, prec, round_nearest)
+                    assert (_helper_sum(x, y, prec, True)
+                            == mpf_sub(x, y, prec, round_nearest))
+
+    def test_exact_values_come_back_unchanged(self, rng):
+        for prec in _PRECISIONS:
+            d = rng.getrandbits(prec)
+            assert round_nearest_even(d, -5, prec) == (d, -5)
+            assert round_nearest_even(-d, 9, prec) == (-d, 9)
+
+
+def _operator_apply_word(ctx, word, x):
+    """``apply_word`` as mpf operators under ``workprec``: the product, then
+    each subtraction in digit order, each rounded once."""
+    k = len(word)
+    with workprec(ctx.precision_bits):
+        acc = ctx.power(k) * mpf(x)
+        for n, ch in enumerate(word, start=1):
+            if ch == "1":
+                acc -= ctx.power(k - n)
+        return acc
+
+
+def _runs_word(rng, length):
+    """A word of the given length made of runs, most of them of ones."""
+    out = ""
+    while len(out) < length:
+        out += ("1" if rng.random() < 0.7 else "0") * rng.randint(1, 24)
+    return out[:length]
+
+
+@pytest.mark.parametrize("prec", _PRECISIONS)
+def test_apply_word_is_bit_identical_to_mpf_operators(rng, prec):
+    bases = ["1.0009", "1.2", "1.61", omega_threshold(1), lambda_threshold(3)]
+    for beta in bases:
+        ctx = BetaContext(beta, prec)
+        ub = ctx.one_over_beta_minus_one
+        with workprec(prec + 40):  # some points carry more bits than prec
+            xs = [ub * mpf(rng.random()) for _ in range(12)]
+        xs += [mpf(0), -ub / 3, ub, ctx.core_lo, "0.3", 1]
+        for x in xs:
+            for length in (0, 1, 2, 7, 31, 64, 80):
+                for word in (_runs_word(rng, length), "1" * length):
+                    got = apply_word(ctx, word, x)
+                    assert got._mpf_ == _operator_apply_word(ctx, word, x)._mpf_
 
 
 class TestPolynomials:

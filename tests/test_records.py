@@ -5,6 +5,7 @@ import math
 
 import pytest
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import to_str
 
 from betaprefix import (BetaContext, bound_report, enumerate_prefixes_direct,
                         growth_estimate, lambda_threshold, omega_threshold,
@@ -73,6 +74,79 @@ class TestRealRepr:
     def test_str_int_and_float_inputs(self, value):
         for bits in (53, 96, 128):
             assert real_repr(value, bits) == _nstr_reference(value, bits)
+
+
+def _to_str_reference(value, bits):
+    """``libmp.to_str`` of the value rounded to ``bits``, at ``real_repr``'s
+    digit count."""
+    digits = math.ceil(bits * math.log10(2)) + 2
+    with workprec(bits):
+        return to_str(mpf(value)._mpf_, digits, strip_zeros=True)
+
+
+# Values just below 10^k whose first dps decimal digits are all 9 and the
+# next one at least 5, so that printing carries into the next power of ten:
+# (bits, mantissa, binary exponent, k), found by scanning the few values
+# below 10^k for |k| <= 1050.  At these precisions such values are rare
+# (none for 200 bits in that range).
+_CARRY_VALUES = [
+    (53, 5374300886053671, 456, 153),
+    (96, 15883831155095840238899676941, -3399, -995),
+    (96, 53575430359313366047421252453, -999, -272),
+    (128, 205935843856895663747728439408907576983, -1858, -521),
+    (128, 62359851618708732087445779109278077409, 1170, 390),
+    (128, 91029370228147774707845092605023868197, 2661, 839),
+]
+
+
+class TestPrinter:
+    """``real_repr``'s own digit conversion against ``libmp.to_str``."""
+
+    @pytest.mark.parametrize("bits", [53, 96, 128, 200])
+    def test_random_values(self, rng, bits):
+        for _ in range(2000):
+            v = _random_mpf(rng, bits)
+            assert real_repr(v, bits) == _to_str_reference(v, bits)
+        # near unit magnitude, where the fixed-point form is used
+        for _ in range(2000):
+            man = rng.getrandbits(bits) | 1 << (bits - 1)
+            with workprec(bits):
+                v = mpf((man, rng.randint(-25, 25) - bits)) * rng.choice((1, -1))
+            assert real_repr(v, bits) == _to_str_reference(v, bits)
+
+    @pytest.mark.parametrize("value", [
+        0, mpf(0), -1, mpf("-0.375"), mpf("-1e-300"), -mpf(2) ** 90, mpf(1),
+        mpf("0.1"), mpf("9.5e-6"), mpf("1e-5"), mpf(10) ** 39, mpf(10) ** 40])
+    def test_zero_and_negative_values(self, value):
+        for bits in (53, 96, 128, 200):
+            assert real_repr(value, bits) == _to_str_reference(value, bits)
+            assert real_repr(-mpf(value), bits) == _to_str_reference(-mpf(value), bits)
+
+    @pytest.mark.parametrize("bits, man, exp, k", _CARRY_VALUES)
+    def test_values_that_round_up_to_the_next_power_of_ten(self, bits, man, exp, k):
+        with workprec(bits):
+            v = mpf((man, exp))
+            values = (v, -v)
+        with workprec(bits + 4000):
+            assert v < mpf(10) ** k
+        for value in values:
+            text = real_repr(value, bits)
+            assert text == _to_str_reference(value, bits)
+            assert text.lstrip("-") == f"1.0e{k:+d}"
+
+    @pytest.mark.parametrize("bits", [53, 128, 200, 820, 1000])
+    def test_extreme_exponents(self, rng, bits):
+        # binary exponents around 3500, where to_str first scales by a power
+        # of ten, far beyond it, and precisions of 247 digits or more
+        for e in (3490, 3499, 3500, 3501, 3510, 10 ** 5, 10 ** 7):
+            for sign in (1, -1):
+                for scale in (e, -e):
+                    man = sign * (rng.getrandbits(bits) | 1 << (bits - 1) | 1)
+                    with workprec(bits):
+                        v = mpf((man, scale - bits))  # exact: the mantissa fits
+                    assert real_repr(v, bits) == _to_str_reference(v, bits)
+        for special in (mp.inf, -mp.inf, mp.nan):
+            assert real_repr(special, bits) == _to_str_reference(special, bits)
 
 
 def _json_dumps_lines(recs):
