@@ -18,16 +18,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from mpmath import mp, mpf, workprec
+from mpmath import mp, workprec
 
 from .errors import CapExceeded, OutOfDomain
-from .numeric import (BetaContext, golden_ratio, lambda_threshold,
-                      omega_threshold)
+from .numeric import (BetaContext, _certified_sign, _sparse, golden_ratio,
+                      lambda_threshold, omega_threshold)
 from .prefixes import _digit_sums
 
 DEFAULT_M_MAX = 64
 SEPARATION_M_CAP = 20
-_FLOOR_GUARD = mpf(10) ** -12
 
 
 @dataclass(frozen=True)
@@ -59,24 +58,21 @@ class BoundReport:
     local_dim_min: Optional[float]
 
 
-def _floor_high_precision(ctx: BetaContext, value_fn):
-    """Floor of value_fn() evaluated at context precision; when the value
-    sits within 1e-12 of an integer, re-evaluate at doubled precision before
-    flooring, since a misrounded floor silently shifts the result."""
-    with workprec(ctx.precision_bits):
-        v = value_fn()
-        if abs(v - mp.nint(v)) < _FLOOR_GUARD:
-            with workprec(2 * ctx.precision_bits):
-                v = value_fn()
-    return int(mp.floor(v))
-
-
 def kappa_lower_bound(ctx: BetaContext) -> float:
     """Explicit lower bound for the lower growth rate, for beta strictly
     below the golden ratio.
 
     Equals (1/2) / (floor(log_beta((beta^2-1)/(1+beta-beta^2))) + 1) above
     sqrt(2) and (1/2) / (floor(log_beta(1/(beta-1))) + 1) otherwise.
+
+    The floor is exact.  floor(log_beta A) is the largest n with
+    beta^n <= A, and for the two arguments A that is the largest n with
+    p_n(beta) <= 0, for the integer polynomials x^(n+1) - x^n - 1 (at or
+    below sqrt(2)) and x^n + x^(n+1) - x^(n+2) - x^2 + 1 (above it, where
+    1 + beta - beta^2 > 0).  A candidate n from the ``mp.log`` value is
+    stepped until p_n(beta) <= 0 < p_(n+1)(beta), each sign certified by
+    ``numeric._certified_sign`` (float64, then the context precision, then
+    integers; the integer tier's cost grows with n).
     """
     with workprec(ctx.precision_bits):
         b = ctx.beta
@@ -85,10 +81,20 @@ def kappa_lower_bound(ctx: BetaContext) -> float:
                 "kappa is defined for beta below (1+sqrt(5))/2 "
                 "(the argument 1+beta-beta^2 must stay positive)")
         if b > mp.sqrt(2):
-            arg_fn = lambda: ((ctx.beta ** 2 - 1) / (1 + ctx.beta - ctx.beta ** 2))
+            arg = (b ** 2 - 1) / (1 + b - b ** 2)
+            terms = lambda n: [(n, 1), (n + 1, 1), (n + 2, -1), (2, -1), (0, 1)]
         else:
-            arg_fn = lambda: 1 / (ctx.beta - 1)
-        fl = _floor_high_precision(ctx, lambda: mp.log(arg_fn()) / mp.log(ctx.beta))
+            arg = 1 / (b - 1)
+            terms = lambda n: [(n + 1, 1), (n, -1), (0, -1)]
+
+        def above(n):  # beta^n > A
+            return _certified_sign(_sparse(terms(n)), b) > 0
+
+        fl = int(mp.floor(mp.log(arg) / mp.log(b)))
+        while above(fl):
+            fl -= 1
+        while not above(fl + 1):
+            fl += 1
         return 0.5 / (fl + 1)
 
 

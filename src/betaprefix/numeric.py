@@ -1,7 +1,10 @@
 """High-precision scalar core: the base context, the two expanding maps,
 sparse integer polynomials and root finding certified by Descartes' rule
-of signs, with every sign of the search certified by an error bound or
-taken exactly.
+of signs.  Every sign of a sparse integer polynomial, in the root search
+and in ``bounds.kappa_lower_bound``, is exact and comes from one routine,
+:func:`_certified_sign`, in up to three tiers: float64 under a proved
+error bound (a floating-point filter, Shewchuk 1997), then the ambient
+mpmath precision under its error bound, then integers.
 
 Everything orbit-related is computed in software floating point (mpmath) at
 the context's working precision.  64-bit doubles misclassify interval
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import from_man_exp, mpf_cmp, mpf_pos, round_nearest
+from mpmath.libmp import from_man_exp, mpf_cmp, mpf_pos, round_nearest, to_float
 
 from .errors import NoRootFound, OutOfDomain
 
@@ -306,61 +309,149 @@ def evaluate_polynomial(spec: PolynomialSpec, x):
     return total
 
 
-def _exact_sign(spec: PolynomialSpec, x) -> int:
-    """Sign of p(x) for an mpf x, in integers: x = a / 2^k makes
+def _exact_sign(coefficients: tuple, x) -> int:
+    """Sign of p(x) for a sparse coefficient tuple (descending exponents)
+    and an mpf x, in integers: x = a / 2^k makes
     2^(k deg) p(x) = sum c_e a^e 2^(k (deg - e)) an integer."""
     sign, man, exp, _ = x._mpf_
     a, k = (man << exp, 0) if exp >= 0 else (man, -exp)
     a = -a if sign else a
-    deg = spec.coefficients[0][0]
-    total = sum(c * a ** e << k * (deg - e) for e, c in spec.coefficients)
+    deg = coefficients[0][0]
+    total = sum(c * a ** e << k * (deg - e) for e, c in coefficients)
     return (total > 0) - (total < 0)
 
 
 @dataclass
 class RootSearchCounts:
-    """Counts kept over the life of the process; read them as differences.
+    """Counts of :func:`_certified_sign`, which the root search and
+    ``bounds.kappa_lower_bound`` share, kept over the life of the process;
+    read them as differences.
 
-    ``exact_signs``: root-search signs that the floating evaluation could
-    not certify and that :func:`_exact_sign` settled instead."""
+    ``evaluations``: every sign asked for.  ``float_signs``: signs the
+    float64 tier decided.  ``exact_signs``: signs that neither floating
+    tier could certify and that :func:`_exact_sign` settled instead."""
 
+    evaluations: int = 0
+    float_signs: int = 0
     exact_signs: int = 0
 
 
 ROOT_SEARCH_COUNTS = RootSearchCounts()
 
+# The float64 tier runs for deg < 2^32, where 4 deg 2^-53 < 2^-19, and for
+# sum |c_e| < 2^1000, so that no term or partial sum overflows.
+_FLOAT_DEGREE_LIMIT = 1 << 32
+_FLOAT_MAGNITUDE_LIMIT = 1 << 1000
 
-def _sign_slack(spec: PolynomialSpec, precision_bits: int):
+
+@functools.lru_cache(maxsize=16)
+def _float_plan(coefficients: tuple):
+    """The float64 tier's fixed data for one polynomial, or None when the
+    tier cannot run on it: per term, c_e as a float, the squarings whose
+    product is y^n for n = deg - e, and the error weight 4n + t + 1; then
+    how many squarings to take, and the underflow allowance
+    (deg + 1) 2^-1074 sum |c_e| (see :func:`_float_value`)."""
+    deg = coefficients[0][0]
+    magnitude = sum(abs(c) for _, c in coefficients)
+    if deg >= _FLOAT_DEGREE_LIMIT or magnitude >= _FLOAT_MAGNITUDE_LIMIT:
+        return None
+    t = len(coefficients)
+    terms = []
+    for e, c in coefficients:
+        n = deg - e
+        terms.append((float(c), tuple(i for i in range(n.bit_length()) if n >> i & 1),
+                      4 * n + t + 1))
+    return (tuple(terms), deg.bit_length(),
+            math.ldexp(float((deg + 1) * magnitude), -1074))
+
+
+def _float_value(coefficients: tuple, x):
+    """(s, bound) with |s - p(x)/x^deg| <= bound, in float64, for an mpf x
+    with float(x) in [1, 2]; None for any other x, or when
+    :func:`_float_plan` skips the polynomial.
+
+    s = sum c_e y^n_e with y = 1/float(x) and n_e = deg - e.  Every y^n_e
+    lies in (0, 1], so every term is at most |c_e| and nothing overflows at
+    any degree.  The powers are products of the shared squarings
+    y, y^2, y^4, ...  With u = 2^-53, to first order:
+
+    - float(x) is within one ulp of x, 2u relative on [1, 2] whatever the
+      rounding mode, and the division rounds once: y carries 3u.
+    - Unfolded, y^n is a product tree of n leaves y and n - 1 rounded
+      products, so it carries 3nu + (n - 1)u < 4nu, growing with n and not
+      with the number of operations.
+    - float(c_e) and the product c_e y^n round once each: 2u.
+    - The t - 1 additions add at most (t - 1)u sum |term_e|.
+
+    So |s - p(x)/x^deg| <= u sum |term_e| (4 n_e + t + 1).  A product that
+    underflows to a subnormal adds at most 2^-1075, and the n_e - 1 of a
+    power plus the one by c_e, each at most |c_e| once scaled, stay within
+    the allowance (deg + 1) 2^-1074 sum |c_e|; additions of subnormals are
+    exact.  ``bound`` is twice the sum of the two, as in
+    :func:`_sign_slack`: the factor 2 covers the higher-order terms (4 deg u
+    < 2^-19), the use of computed terms for exact ones and the rounding of
+    the bound itself.
+    """
+    plan = _float_plan(coefficients)
+    if plan is None:
+        return None
+    xf = to_float(x._mpf_)
+    if not 1.0 <= xf <= 2.0:
+        return None
+    terms, bits, underflow = plan
+    squares = [1.0 / xf]
+    for _ in range(bits - 1):
+        squares.append(squares[-1] * squares[-1])
+    total = weighted = 0.0
+    for c, which, weight in terms:
+        term = c * math.prod([squares[i] for i in which])
+        total += term
+        weighted += abs(term) * weight
+    return total, 2.0 * (weighted * 2.0 ** -53 + underflow)
+
+
+@functools.lru_cache(maxsize=16)
+def _sign_slack(coefficients: tuple, precision_bits: int):
     """(terms + 4) 2^(1-prec) sum |c_e|: times x^deg, a bound on the error
     of a ``precision_bits`` evaluation of p at x >= 1 (see
     :func:`_certified_sign`)."""
     with workprec(precision_bits):
-        return (mpf(len(spec.coefficients) + 4) * 2 ** (1 - precision_bits)
-                * sum(abs(c) for _, c in spec.coefficients))
+        return (mpf(len(coefficients) + 4) * 2 ** (1 - precision_bits)
+                * sum(abs(c) for _, c in coefficients))
 
 
-def _certified_sign(spec: PolynomialSpec, x, slack) -> int:
-    """Sign of p(x) for an mpf x >= 1, evaluated at the ambient precision
-    like :func:`evaluate_polynomial` and certified by an error bound.
+def _certified_sign(coefficients: tuple, x) -> int:
+    """Sign of p(x) for a sparse coefficient tuple (descending exponents)
+    and an mpf x >= 1, always exact, in up to three tiers.
 
-    Each power, product by an integer coefficient and partial sum is
-    rounded once, with relative error at most 2^-prec, and every partial
-    sum is at most sum |c_e| x^e <= sum |c_e| x^deg.  So the floating sum is
-    within (terms + 2) 2^-prec sum |c_e| x^deg of p(x).  ``slack`` times
-    x^deg, from :func:`_sign_slack`, is twice that, which also covers the
-    rounding of the bound itself.  A sum beyond the bound has the sign of
-    p(x); any other is settled by :func:`_exact_sign` and counted in
-    ``ROOT_SEARCH_COUNTS.exact_signs``.
+    1. float64 (:func:`_float_value`): p(x)/x^deg has the sign of p(x), so
+       a value beyond its proved error bound decides, counted in
+       ``ROOT_SEARCH_COUNTS.float_signs``.
+    2. The ambient precision, like :func:`evaluate_polynomial`.  Each
+       power, product by an integer coefficient and partial sum is rounded
+       once, with relative error at most 2^-prec, and every partial sum is
+       at most sum |c_e| x^e <= sum |c_e| x^deg.  So the floating sum is
+       within (terms + 2) 2^-prec sum |c_e| x^deg of p(x).  The slack of
+       :func:`_sign_slack` times x^deg is twice that, which also covers the
+       rounding of the bound itself.  A sum beyond the bound has the sign
+       of p(x).
+    3. Any other sign is settled by :func:`_exact_sign` and counted in
+       ``ROOT_SEARCH_COUNTS.exact_signs``.
     """
-    (deg, lead), *rest = spec.coefficients
+    ROOT_SEARCH_COUNTS.evaluations += 1
+    value = _float_value(coefficients, x)
+    if value is not None and abs(value[0]) > value[1]:
+        ROOT_SEARCH_COUNTS.float_signs += 1
+        return 1 if value[0] > 0 else -1
+    (deg, lead), *rest = coefficients
     top = x ** deg
     total = lead * top
     for e, c in rest:
         total += c * x ** e
-    if abs(total) > slack * top:
+    if abs(total) > _sign_slack(coefficients, mp.prec) * top:
         return 1 if total > 0 else -1
     ROOT_SEARCH_COUNTS.exact_signs += 1
-    return _exact_sign(spec, x)
+    return _exact_sign(coefficients, x)
 
 
 def polynomial_string(spec: PolynomialSpec) -> str:
@@ -468,14 +559,14 @@ def smallest_root_above_one(spec: PolynomialSpec, abs_tol: float = DEFAULT_ROOT_
     grid = _scan_grid(precision_bits)
     with workprec(precision_bits):
         tol = mpf(abs_tol)
-        slack = _sign_slack(spec, precision_bits)
-        s0 = _certified_sign(spec, grid[0], slack)
+        coefficients = spec.coefficients
+        s0 = _certified_sign(coefficients, grid[0])
         if s0 == 0:
             return grid[0]
         neg = s0 < 0
 
         def changed(j):
-            sj = _certified_sign(spec, grid[j], slack)
+            sj = _certified_sign(coefficients, grid[j])
             return sj == 0 or (sj < 0) != neg
 
         j = 1 + bisect.bisect_left(range(1, len(grid)), True, key=changed)
@@ -492,7 +583,7 @@ def smallest_root_above_one(spec: PolynomialSpec, abs_tol: float = DEFAULT_ROOT_
             if mid in (lo, hi):
                 raise NoRootFound(f"{precision_bits} bits cannot narrow the root "
                                   f"of {spec.family.value} m={spec.m} further")
-            sm = _certified_sign(spec, mid, slack)
+            sm = _certified_sign(coefficients, mid)
             if sm == 0:
                 # nudge to the negative side of the exact hit
                 hi = mid

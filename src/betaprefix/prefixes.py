@@ -171,8 +171,10 @@ def _count_in_windows(beta: float, depth: int, windows) -> list:
     floor(depth/2) digits are sorted once; the sums of the first
     ceil(depth/2) digits stream past them in chunks of at most 2^16, one
     chunk per setting of the leading digits, so memory stays at one sorted
-    half plus a chunk.  Every sum adds its terms in increasing n, so its
-    float64 value does not depend on the chunking."""
+    half plus a chunk.  Each chunk is sorted before it is searched, which
+    keeps the searches local and changes no count.  Every sum adds its
+    terms in increasing n, so its float64 value does not depend on the
+    chunking."""
     if not windows:
         return []
     k1 = (depth + 1) // 2
@@ -182,6 +184,7 @@ def _count_in_windows(beta: float, depth: int, windows) -> list:
     counts = [0] * len(windows)
     for start in _digit_sums(beta, 1, fixed):
         head = _digit_sums(beta, fixed + 1, k1, start)
+        head.sort()
         for i, (lo, hi) in enumerate(windows):
             if hi >= lo:
                 counts[i] += int((np.searchsorted(tail, hi - head, side="right")

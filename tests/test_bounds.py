@@ -4,13 +4,16 @@ import math
 
 import pytest
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import mpf_pos, round_floor
 
 from betaprefix import (BetaContext, CapExceeded, OutOfDomain,
                         apply_word, bound_report, delta_search,
                         enumerate_prefixes_direct, golden_ratio,
                         kappa_lower_bound, lambda_threshold, local_dim_upper,
-                        omega_threshold, separation_holds, upper_rate_bound,
+                        omega_threshold, separation_holds,
+                        smallest_root_above_one, upper_rate_bound,
                         upper_rate_bounds)
+from betaprefix.numeric import PolynomialFamily, PolynomialSpec
 
 
 class TestKappa:
@@ -39,6 +42,36 @@ class TestKappa:
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
             kappa_lower_bound(BetaContext("1.62"))
+
+    def test_floor_is_exact(self):
+        # the floor of log_beta A, taken in integers at the context's own
+        # beta = a / 2^s: the largest n with beta^n <= A
+        bases = [BetaContext(f"1.{i:02d}") for i in range(1, 62, 3)]
+        bases += [BetaContext(t) for m in range(1, 9)
+                  for t in (lambda_threshold(m), omega_threshold(m))
+                  if t < golden_ratio()]
+        # beta^3 (beta - 1) = 1 at the root of x^4 - x^3 - 1 (1.3803), so
+        # log_beta(1/(beta - 1)) is 3 at the root; the two 128-bit values
+        # around it fall on either side
+        root = smallest_root_above_one(
+            PolynomialSpec(PolynomialFamily.OMEGA_3, 1, ((4, 1), (3, -1), (0, -1))),
+            abs_tol=1e-45)
+        below = mp.make_mpf(mpf_pos(root._mpf_, 128, round_floor))
+        with workprec(128):
+            above = below + mpf(2) ** -127
+        bases += [BetaContext(below), BetaContext(above)]
+        for ctx in bases:
+            man, exp = ctx.beta.man, ctx.beta.exp
+            a, s = man, -exp
+            # beta^n <= A as an integer inequality in a^n and 2^(s n)
+            if ctx.beta > math.sqrt(2):
+                fits = lambda n: (a ** n * (2 ** (2 * s) + a * 2 ** s - a * a)
+                                  <= (a * a - 2 ** (2 * s)) * 2 ** (s * n))
+            else:
+                fits = lambda n: a ** n * (a - 2 ** s) <= 2 ** (s * (n + 1))
+            n = round(0.5 / kappa_lower_bound(ctx)) - 1
+            assert fits(n) and not fits(n + 1), ctx
+        assert [kappa_lower_bound(c) for c in bases[-2:]] == [0.5 / 4, 0.5 / 3]
 
 
 class TestBestLowerBounds:

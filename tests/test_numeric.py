@@ -1,5 +1,7 @@
 """Tests for the scalar core: context, maps, polynomials and roots."""
 
+import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -16,9 +18,9 @@ from betaprefix import (BetaContext, NoRootFound, PolynomialFamily,
                         polynomial_spec, polynomial_string,
                         smallest_root_above_one)
 from betaprefix.numeric import (ROOT_SEARCH_COUNTS, PolynomialSpec,
-                                _certified_sign, _exact_sign, _sign_right_of_one,
-                                _sign_slack, descartes_bound_above_one,
-                                round_nearest_even)
+                                _certified_sign, _exact_sign, _float_value,
+                                _sign_right_of_one, _sparse,
+                                descartes_bound_above_one, round_nearest_even)
 
 # Published threshold values (5 decimal places); the last-digit unit
 # tolerance absorbs the publication rounding.
@@ -505,7 +507,7 @@ class TestRoots:
         assert ROOT_SEARCH_COUNTS.exact_signs > before
         with workprec(256):
             assert 1 < root < 1 + mpf(10) ** -60
-        assert _exact_sign(spec, root) == 1
+        assert _exact_sign(spec.coefficients, root) == 1
         # 160 bits cannot represent a value in (1, 1 + 1e-60]
         with pytest.raises(NoRootFound, match="cannot narrow"):
             smallest_root_above_one(spec)
@@ -521,25 +523,25 @@ class TestRoots:
                                       ((42, 4 * b), (41, -(12 * b + 2)),
                                        (40, 9 * b + 3))))]
         for center, spec in pairs:
-            slack = _sign_slack(spec, precision)
             with workprec(precision):
                 for _ in range(200):
                     x = center + mpf(10) ** -rng.uniform(0, 80)
-                    assert _certified_sign(spec, x, slack) == _exact_sign(spec, x)
+                    assert (_certified_sign(spec.coefficients, x)
+                            == _exact_sign(spec.coefficients, x))
 
     def test_exact_sign_matches_fractions(self, rng):
         for _ in range(200):
             coefficients = tuple(sorted(
                 {rng.randint(0, 40): rng.randint(-10 ** 6, 10 ** 6)
                  for _ in range(4)}.items(), reverse=True))
-            spec = PolynomialSpec(PolynomialFamily.OMEGA_3, 1, coefficients)
             man = (rng.getrandbits(60) | 1) * rng.choice((1, 1, 1, -1))
             exp = rng.randint(-70, 4)
             x = mpf((man, exp))
             q = man * Fraction(2) ** exp
             value = sum(c * q ** e for e, c in coefficients)
-            assert _exact_sign(spec, x) == (value > 0) - (value < 0)
-        assert _exact_sign(polynomial_spec(PolynomialFamily.LAMBDA, 2), mpf(1)) == 0
+            assert _exact_sign(coefficients, x) == (value > 0) - (value < 0)
+        assert _exact_sign(polynomial_spec(PolynomialFamily.LAMBDA, 2).coefficients,
+                           mpf(1)) == 0
 
     def test_root_at_one_is_divided_out(self):
         # -(x - 1)(2x - 3): two sign variations, less the root at 1
@@ -597,3 +599,135 @@ class TestRoots:
         for threshold in (omega_threshold, lambda_threshold):
             with pytest.raises(ValueError, match="positive integer"):
                 threshold(m)
+
+
+def _float_tier(coefficients, x):
+    """The float64 tier's verdict: the sign it certifies, or None."""
+    value = _float_value(coefficients, x)
+    if value is None or abs(value[0]) <= value[1]:
+        return None
+    return 1 if value[0] > 0 else -1
+
+
+def _with_root(rng, degree, q_max, k=1):
+    """(b x^k - a) q(x) with a random root r = (a/b)^(1/k) in (1, 2), r^k - 1
+    log-uniform down to 1e-6, and a random q of the given degree with
+    positive coefficients up to q_max, so that p has the sign of x - r for
+    x > 0; returns (coefficients, root factor (a, b, k))."""
+    b = rng.randint(2, 10 ** 6)
+    ratio = 10 ** rng.uniform(-6, math.log10(2.0 ** min(k, 40) - 1))  # r^k - 1
+    a = b + max(1, round(b * ratio))
+    q = {degree: rng.randint(1, q_max), 0: rng.randint(1, q_max)}
+    for _ in range(rng.randint(0, 6)):
+        q[rng.randint(0, degree)] = rng.randint(1, q_max)
+    terms = [(e + k, b * c) for e, c in q.items()] + [(e, -a * c) for e, c in q.items()]
+    return _sparse(terms), (a, b, k)
+
+
+def _root(factor):
+    a, b, k = factor
+    return (mpf(a) / b) ** (mpf(1) / k)
+
+
+def _factor_sign(x, factor):
+    """The exact sign of b x^k - a for an mpf x >= 0, in integers."""
+    a, b, k = factor
+    man, exp = x.man, x.exp
+    lhs, rhs = b * man ** k, a
+    if exp >= 0:
+        lhs <<= k * exp
+    else:
+        rhs <<= -k * exp
+    return (lhs > rhs) - (lhs < rhs)
+
+
+class TestFloatTier:
+    @pytest.mark.parametrize("degrees,steep", [((1, 300), False), ((1000, 1100), False),
+                                               ((30000, 60003), False),
+                                               ((1, 300), True), ((1000, 2000), True)])
+    def test_tier_returns_the_exact_sign_or_declines(self, rng, degrees, steep):
+        # points 1e-18..1e-3 from built-in roots, and x = 1 and 2.  A root
+        # of b x^k - a with large k is steep: the error of the powers moves
+        # the value by about k times their relative error.  At 1000..1100
+        # near 2 the squarings underflow to subnormals.
+        decided = declined = subnormal = 0
+        with workprec(160):
+            for _ in range(60):
+                degree = rng.randint(*degrees)
+                k = rng.randint(2, degree) if steep else 1
+                q_max = rng.choice((10 ** 6, 2 ** 900))
+                coefficients, factor = _with_root(rng, degree - k + 1, q_max, k)
+                r = _root(factor)
+                points = [mpf(1), mpf(2)]
+                for _ in range(8):
+                    d = r * mpf(10) ** -rng.uniform(3, 18)
+                    points.append(r + d if rng.random() < 0.5 else r - d)
+                for x in points:
+                    sign = _float_tier(coefficients, x)
+                    exact = _factor_sign(x, factor)
+                    if degree <= 300:
+                        assert _exact_sign(coefficients, x) == exact
+                    assert sign in (None, exact), (coefficients, x)
+                    decided += sign is not None
+                    declined += sign is None
+                    subnormal += 0 < float(x) ** -(degree + 1) < 2.0 ** -1022
+        assert decided and declined
+        assert subnormal or degrees != (1000, 1100)
+
+    def test_coefficients_beyond_float_range_skip_the_tier(self):
+        # (2^1100 + 1) x - 2^1100 - 2 has its root just above 1
+        big = 2 ** 1100
+        coefficients = ((1, big + 1), (0, -big - 2))
+        with workprec(160):
+            for x in (mpf(1), mpf("1.5"), mpf(2)):
+                assert _float_value(coefficients, x) is None
+                assert _certified_sign(coefficients, x) == _exact_sign(coefficients, x)
+        assert _float_value(((1, 2 ** 999), (0, -2 ** 999)), mpf(2)) is None  # sum |c| = 2^1000
+        assert _float_value(((1, 1), (0, -1)), mpf("0.99")) is None  # x outside [1, 2]
+
+    def test_bound_covers_the_derivation_and_the_error(self, rng):
+        # the bound is never below twice the first-order derivation of
+        # _float_value's docstring, in exact arithmetic, and the true error
+        # stays within the derivation
+        u = Fraction(1, 2 ** 53)
+        with workprec(160):
+            for _ in range(150):
+                degree = rng.randint(1, 400)
+                coefficients = _sparse(
+                    (rng.randint(0, degree), rng.choice((-1, 1)) * rng.randint(1, 2 ** 62))
+                    for _ in range(rng.randint(1, 6)))
+                if not coefficients:
+                    continue
+                deg, t = coefficients[0][0], len(coefficients)
+                x = rng.choice((mpf(1), mpf(2), 1 + mpf(rng.random())))
+                y = 1 / (x.man * Fraction(2) ** x.exp)
+                value, bound = _float_value(coefficients, x)
+                terms = [abs(c) * y ** (deg - e) for e, c in coefficients]
+                derived = u * sum(m * (4 * (deg - e) + t + 1)
+                                  for m, (e, _) in zip(terms, coefficients))
+                derived += (deg + 1) * sum(abs(c) for _, c in coefficients) / 2 ** 1075
+                assert Fraction(bound) >= 2 * derived * (1 - Fraction(1, 2 ** 30))
+                exact = sum(c * y ** (deg - e) for e, c in coefficients)
+                assert abs(Fraction(value) - exact) <= derived
+
+    def test_family_searches_decide_every_sign_in_float(self):
+        before = dataclasses.replace(ROOT_SEARCH_COUNTS)
+        for family in PolynomialFamily:
+            for m in range(1, 65):
+                smallest_root_above_one(polynomial_spec(family, m))
+        assert ROOT_SEARCH_COUNTS.evaluations - before.evaluations == 7935
+        assert ROOT_SEARCH_COUNTS.float_signs - before.float_signs == 7935
+        assert ROOT_SEARCH_COUNTS.exact_signs == before.exact_signs
+
+    def test_thresholds_are_pinned(self):
+        # frozen from the search that took every sign at 160 bits
+        digest = hashlib.sha256()
+        for m in range(1, 65):
+            digest.update(repr(omega_threshold(m)._mpf_).encode())
+            digest.update(repr(lambda_threshold(m)._mpf_).encode())
+        assert digest.hexdigest()[:16] == "c88cab6243a8f999"
+        lam = (0, 7824332260647908074620349, -82, 83)
+        assert omega_threshold(15000)._mpf_ == (0, 9671406561752736676107925, -83, 84)
+        assert lambda_threshold(15000)._mpf_ == lam
+        assert omega_threshold(10 ** 5)._mpf_ == (0, 309485009826180772003239573, -88, 89)
+        assert lambda_threshold(10 ** 5)._mpf_ == lam
