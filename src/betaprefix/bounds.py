@@ -21,8 +21,8 @@ import numpy as np
 from mpmath import mp, workprec
 
 from .errors import CapExceeded, OutOfDomain
-from .numeric import (BetaContext, _certified_sign, _sparse, golden_ratio,
-                      lambda_threshold, omega_threshold)
+from .numeric import (BetaContext, _sparse, below_golden_ratio, certified_sign,
+                      golden_ratio, lambda_threshold, omega_threshold)
 from .prefixes import _digit_sums
 
 DEFAULT_M_MAX = 64
@@ -71,24 +71,27 @@ def kappa_lower_bound(ctx: BetaContext) -> float:
     below sqrt(2)) and x^n + x^(n+1) - x^(n+2) - x^2 + 1 (above it, where
     1 + beta - beta^2 > 0).  A candidate n from the ``mp.log`` value is
     stepped until p_n(beta) <= 0 < p_(n+1)(beta), each sign certified by
-    ``numeric._certified_sign`` (float64, then the context precision, then
-    integers; the integer tier's cost grows with n).
+    ``numeric.certified_sign`` (float64, then the context precision, then
+    integers; the integer tier's cost grows with n), as are beta's
+    comparisons with sqrt(2) and the golden ratio.  The candidate takes
+    1+beta-beta^2 exactly, at twice the context precision.
     """
     with workprec(ctx.precision_bits):
         b = ctx.beta
-        if b >= golden_ratio(ctx.precision_bits):
+        if not below_golden_ratio(b):
             raise OutOfDomain(
                 "kappa is defined for beta below (1+sqrt(5))/2 "
                 "(the argument 1+beta-beta^2 must stay positive)")
-        if b > mp.sqrt(2):
-            arg = (b ** 2 - 1) / (1 + b - b ** 2)
+        if certified_sign(((2, 1), (0, -2)), b) > 0:
+            with workprec(2 * ctx.precision_bits):
+                arg = (b ** 2 - 1) / (1 + b - b ** 2)
             terms = lambda n: [(n, 1), (n + 1, 1), (n + 2, -1), (2, -1), (0, 1)]
         else:
             arg = 1 / (b - 1)
             terms = lambda n: [(n + 1, 1), (n, -1), (0, -1)]
 
         def above(n):  # beta^n > A
-            return _certified_sign(_sparse(terms(n)), b) > 0
+            return certified_sign(_sparse(terms(n)), b) > 0
 
         fl = int(mp.floor(mp.log(arg) / mp.log(b)))
         while above(fl):
@@ -112,7 +115,7 @@ def _walk_thresholds(ctx: BetaContext, m_max: int) -> tuple:
         raise ValueError("m_max must be at least 1")
     beta = ctx.beta
     kappa = None
-    if beta < golden_ratio(ctx.precision_bits):
+    if below_golden_ratio(beta):
         kappa = kappa_lower_bound(ctx)
     omega_pick = None
     for m in range(1, m_max + 1):

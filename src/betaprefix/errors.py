@@ -39,9 +39,9 @@ class MemoryGuard(InputError):
 
 
 class Unreachable(InvariantError):
-    """No orbit word within the depth cap maps a point into the target
-    interval.  Mathematically the target must be reachable, so this signals
-    a precision or bookkeeping bug and is raised loudly."""
+    """No orbit word of the computed entry length maps a point into the
+    target interval.  Mathematically the target must be reachable, so this
+    signals a precision or bookkeeping bug and is raised loudly."""
 
 
 class ContainmentViolation(InvariantError):

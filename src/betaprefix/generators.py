@@ -16,14 +16,12 @@ extension's orbit lands back inside it:
 Orbit containment is asserted for every extension; a violation falsifies
 the defining polynomial inequality for the given beta and aborts loudly.
 
-The generator tables are built once per base and process, in
-``ctx.cache``, which every context with the same ``(beta, precision_bits,
-comparison_tolerance)`` shares (see ``numeric``): the validated steering
-intervals with their containment windows (``numeric.Window``), the
-pair-mode check for each m, the block words with their affine offsets, and
-per steering length the words sorted by offset.  A run looks its tables up
-once, when it builds its extension function, not once per parent.  A table
-whose validation fails is not stored, so the failure repeats on every call.
+The generator tables (the validated steering intervals with their
+containment windows, the pair-mode check for each m, the block words with
+their affine offsets, and per length the steering words sorted by offset)
+are built once per base and process by ``functools.lru_cache``: contexts
+are values (see ``numeric``).  A run looks its tables up once, when it
+builds its extension function, not once per parent.
 
 A steering word of length L acts on an orbit value v as beta^L * v + q.
 Rounding ``beta^L * v + q`` is monotone in the offset q, so the words that
@@ -60,14 +58,17 @@ from mpmath import mp, mpf, workprec
 from mpmath.libmp import (fone, from_man_exp, mpf_add, mpf_cmp, mpf_mul, mpf_sub,
                           round_nearest)
 
-from .errors import (ContainmentViolation, InvalidPoint, MemoryGuard,
-                     NoSteeringWord, OutOfDomain, Unreachable)
-from .numeric import (BetaContext, Window, apply_word, golden_ratio,
+from .errors import (CapExceeded, ContainmentViolation, InvalidPoint,
+                     MemoryGuard, NoSteeringWord, OutOfDomain, Unreachable)
+from .numeric import (BetaContext, Window, apply_word, below_golden_ratio,
                       lambda_threshold, omega_threshold, round_nearest_even,
                       to_raw)
 from .prefixes import DEFAULT_SURVIVOR_CAP
 
 _ENTRY_DFS_BUDGET = 2_000_000
+_ENTRY_CEILING = 10_000  # longest entry word, in digits
+_CLIMB_MARGIN = 2  # steps a climb may take past its computed length
+_TABLE_CACHE_SIZE = 256  # entries of each per-base table cache
 
 MODE_MAJORITY = "m"
 MODE_STEERED_PAIR = "s3"
@@ -103,19 +104,9 @@ class PairSteeringInterval:
     core: Window
 
 
-def _per_base(build):
-    """Run ``build(ctx, ...)`` once per base and argument list and keep the
-    result in ``ctx.cache``, which contexts of equal beta, precision and
-    tolerance share.  A call that raises stores nothing, so a failed
-    validation repeats on every call."""
-    @functools.wraps(build)
-    def cached(ctx: BetaContext, *args, **kwargs):
-        key = (build.__name__, *args, *kwargs.items())
-        got = ctx.cache.get(key)
-        if got is None:
-            got = ctx.cache[key] = build(ctx, *args, **kwargs)
-        return got
-    return cached
+# One cache per table; a call that raises keeps nothing, so a failed
+# validation repeats on every call.
+_per_base = functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 
 
 @_per_base
@@ -152,7 +143,7 @@ def pair_steering_interval(ctx: BetaContext) -> PairSteeringInterval:
     base: lo is the digit 1 applied to core_lo, (1+beta-beta^2)/(beta^2-1),
     and hi the digit 0 applied to core_hi, beta^2/(beta^2-1).  Needs beta
     below the golden ratio so the interval fits inside the admissible one."""
-    if ctx.beta >= golden_ratio(ctx.precision_bits):
+    if not below_golden_ratio(ctx.beta):
         raise OutOfDomain(
             f"steered-pair interval needs beta < (1+sqrt(5))/2, got {ctx.beta}")
     lo = apply_word(ctx, "1", ctx.core_lo)
@@ -167,23 +158,15 @@ def pair_steering_interval(ctx: BetaContext) -> PairSteeringInterval:
                                 core=ctx.window(ctx.core_lo, ctx.core_hi))
 
 
-def _require_interior(ctx: BetaContext, x):
-    tol = ctx.comparison_tolerance
-    if not (tol < x < ctx.one_over_beta_minus_one - tol):
-        raise InvalidPoint(
-            f"x={x} must lie strictly inside (0, 1/(beta-1))")
-
-
-def _lex_smallest_entry(ctx: BetaContext, target: Window, x, length: int,
-                        budget: int = _ENTRY_DFS_BUDGET):
+def _lex_smallest_entry(ctx: BetaContext, target: Window, x, length: int):
     """Lexicographically smallest admissible word of the given length whose
     final orbit value lands in the window ``target``.
 
     Depth-first in lex order with interval-reachability pruning: from value
     v with n steps left every reachable final value lies between the all-ones
     composition beta^n (v - ub) + ub and the all-zeros composition beta^n v,
-    so subtrees whose bound interval misses the target are skipped.  Returns
-    None if the node budget is exhausted before a hit.
+    so subtrees whose bound interval misses the target are skipped.  Raises
+    CapExceeded past ``_ENTRY_DFS_BUDGET`` nodes, Unreachable on no hit.
     """
     ub = ctx.one_over_beta_minus_one
     beta = ctx.beta
@@ -193,8 +176,10 @@ def _lex_smallest_entry(ctx: BetaContext, target: Window, x, length: int,
     while stack:
         w, v = stack.pop()
         nodes += 1
-        if nodes > budget:
-            return None
+        if nodes > _ENTRY_DFS_BUDGET:
+            raise CapExceeded(
+                f"the lexicographic entry search of length {length} from x={x} "
+                f"spent its budget of {_ENTRY_DFS_BUDGET} nodes")
         n = length - len(w)
         if n == 0:
             if target.contains(v):
@@ -211,7 +196,8 @@ def _lex_smallest_entry(ctx: BetaContext, target: Window, x, length: int,
         child += 1
         if base.contains(child):
             stack.append((w + "0", child))
-    return None
+    raise Unreachable(
+        f"no word of length {length} from x={x} lands in [{target.lo}, {target.hi}]")
 
 
 def _climb(ctx: BetaContext, window: Window, v, cap: int):
@@ -237,7 +223,16 @@ def _climb(ctx: BetaContext, window: Window, v, cap: int):
     return digits, v
 
 
-def _entry_word(ctx: BetaContext, target: Window, x, depth_cap: int):
+def _climb_length(ctx: BetaContext, target: Window, x) -> int:
+    """Length of the climb from the mpf x outside ``target`` into it, up to
+    rounding: with u = 1/(beta-1), n digits 0 take x to beta^n x and n
+    digits 1 take u - x to beta^n (u - x).  Call under ``workprec``."""
+    u = ctx.one_over_beta_minus_one
+    ratio = target.lo_w / x if x < target.lo_w else (u - target.hi_w) / (u - x)
+    return int(mp.ceil(mp.log(ratio) / mp.log(ctx.beta)))
+
+
+def _entry_word(ctx: BetaContext, target: Window, x):
     """Minimal-length word mapping x into the window ``target``,
     lexicographically smallest among minimal ones; returns (word, length).
 
@@ -248,17 +243,26 @@ def _entry_word(ctx: BetaContext, target: Window, x, depth_cap: int):
     contains the core two-cycle.  From below, the all-zeros climb is also
     the lexicographically smallest word; from above, the all-ones descent
     only fixes the length.
+
+    Past ``_ENTRY_CEILING`` digits the request raises CapExceeded; a climb
+    longer than :func:`_climb_length` plus ``_CLIMB_MARGIN`` is Unreachable.
     """
     lo, hi = target.lo, target.hi
     with workprec(ctx.precision_bits):
-        x = mpf(x)
-        _require_interior(ctx, x)
+        x, tol = mpf(x), ctx.comparison_tolerance
+        if not tol < x < ctx.one_over_beta_minus_one - tol:
+            raise InvalidPoint(f"x={x} must lie strictly inside (0, 1/(beta-1))")
         if target.contains(x):
             return "", 0
-        climbed = _climb(ctx, target, x._mpf_, depth_cap)
+        steps = _climb_length(ctx, target, x)
+        if steps > _ENTRY_CEILING:
+            raise CapExceeded(
+                f"entry into [{lo}, {hi}] from x={x} needs {steps} digits, "
+                f"above the ceiling of {_ENTRY_CEILING}")
+        climbed = _climb(ctx, target, x._mpf_, steps + _CLIMB_MARGIN)
         if climbed is None:
-            raise Unreachable(
-                f"no entry into [{lo}, {hi}] within {depth_cap} steps from x={x}")
+            raise Unreachable(f"no entry into [{lo}, {hi}] from x={x} within "
+                              f"{_CLIMB_MARGIN} steps past the computed {steps}")
         run, v = climbed[0], _wrap(climbed[1])
         if not target.contains(v):
             raise Unreachable(
@@ -268,9 +272,6 @@ def _entry_word(ctx: BetaContext, target: Window, x, depth_cap: int):
         if x < lo:
             return run, j
         word = _lex_smallest_entry(ctx, target, x, j)
-        if word is None:
-            # budget exhausted: fall back to the known-good all-ones word
-            word = run
         final = apply_word(ctx, word, x)
         if not target.contains(final):
             raise Unreachable(
@@ -281,25 +282,22 @@ def _entry_word(ctx: BetaContext, target: Window, x, depth_cap: int):
 def entry_word_m(ctx: BetaContext, m: int, x):
     """Step-1 entry for majority-block mode: minimal-length word into the
     block steering interval, all intermediate orbit values admissible."""
-    return _entry_word(ctx, block_steering_interval(ctx, m).window, x,
-                       depth_cap=64 * (2 * m + 3))
+    return _entry_word(ctx, block_steering_interval(ctx, m).window, x)
 
 
 def entry_word_s3(ctx: BetaContext, m: int, x):
     """Step-1 entry for steered-pair mode."""
     _require_pair_mode(ctx, m)
-    return _entry_word(ctx, pair_steering_interval(ctx).window, x,
-                       depth_cap=64 * (m + 4))
+    return _entry_word(ctx, pair_steering_interval(ctx).window, x)
 
 
 @_per_base
-def _require_pair_mode(ctx: BetaContext, m: int) -> bool:
-    """Raise unless beta <= lambda_m; returns True, so a pass is kept."""
+def _require_pair_mode(ctx: BetaContext, m: int) -> None:
+    """Raise unless beta <= lambda_m."""
     if ctx.beta > lambda_threshold(m):
         raise OutOfDomain(
             f"steered-pair mode needs beta <= lambda_{m} = "
             f"{lambda_threshold(m)}, got {ctx.beta}")
-    return True
 
 
 @functools.lru_cache(maxsize=256)

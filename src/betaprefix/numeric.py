@@ -1,8 +1,8 @@
 """High-precision scalar core: the base context, the two expanding maps,
 sparse integer polynomials and root finding certified by Descartes' rule
-of signs.  Every sign of a sparse integer polynomial, in the root search
-and in ``bounds.kappa_lower_bound``, is exact and comes from one routine,
-:func:`_certified_sign`, in up to three tiers: float64 under a proved
+of signs.  Every sign of a sparse integer polynomial (root search, kappa,
+a base against the golden ratio) is exact and comes from one routine,
+:func:`certified_sign`, in up to three tiers: float64 under a proved
 error bound (a floating-point filter, Shewchuk 1997), then the ambient
 mpmath precision under its error bound, then integers.
 
@@ -12,9 +12,10 @@ membership after a few dozen map applications when beta is close to 1, so
 the default working width is 128 bits with a comparison tolerance of 2^-64
 for boundary classification.
 
-Contexts with equal ``(beta, precision_bits, comparison_tolerance)`` share
-one table dict, ``BetaContext.cache``, from a bounded process-wide store,
-so tables that other modules derive from a base are built once per process.
+A :class:`BetaContext` is a value: contexts with equal ``(beta,
+precision_bits, comparison_tolerance)`` compare equal and hash alike, so a
+table that another module derives from a base and caches with
+``functools.lru_cache`` is built once per process, whichever context asks.
 The generators' hot loops run on raw libmp values (the ``_mpf_`` tuples of
 :func:`to_raw`); :class:`Window` decides containment for both kinds.
 :func:`apply_word` and the steering search run on Python-int mantissas
@@ -96,23 +97,6 @@ def round_nearest_even(d: int, e: int, precision_bits: int) -> tuple:
     return q, e + n
 
 
-# Table dicts of ``BetaContext.cache``, one per (beta, precision_bits,
-# comparison_tolerance), least recently used first; the store drops its
-# oldest dict past _MAX_SHARED_BASES.
-_SHARED_TABLES: dict = {}
-_MAX_SHARED_BASES = 32
-
-
-def _shared_tables(key: tuple) -> dict:
-    tables = _SHARED_TABLES.pop(key, None)
-    if tables is None:
-        tables = {}
-        if len(_SHARED_TABLES) >= _MAX_SHARED_BASES:
-            del _SHARED_TABLES[next(iter(_SHARED_TABLES))]
-    _SHARED_TABLES[key] = tables
-    return tables
-
-
 class BetaContext:
     """A validated base beta in (1,2) with working precision and cached
     constants.
@@ -124,6 +108,8 @@ class BetaContext:
     orbit containment decision goes through a window from :meth:`window`,
     whose ends are widened by ``comparison_tolerance`` so that
     closed-interval statements are not rejected through rounding.
+    Contexts are values, equal and hashed alike when ``(beta,
+    precision_bits, comparison_tolerance)`` agree; do not mutate one.
     """
 
     def __init__(self, beta, precision_bits: int = DEFAULT_PRECISION_BITS,
@@ -150,18 +136,18 @@ class BetaContext:
         self.base = self.window(0, self.one_over_beta_minus_one)
         self._powers = [mpf(1), self.beta]  # beta^n cache, grown on demand
         self._int_powers = []  # the same values as (mantissa, exponent)
-        # Tables other modules build once per base and process: every context
-        # with this (beta, precision_bits, comparison_tolerance) gets the same
-        # dict.  ``generators`` keeps here the validated steering intervals
-        # with their windows, the pair-mode check for each m, the majority
-        # block words with their raw offsets, and the raw-offset-sorted
-        # steering words for each length.
-        self.cache: dict = _shared_tables(
-            (b._mpf_, self.precision_bits, self.comparison_tolerance._mpf_))
+        self._key = (b._mpf_, self.precision_bits, self.comparison_tolerance._mpf_)
+
+    def __eq__(self, other):
+        return isinstance(other, BetaContext) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     def __repr__(self):
         return (f"BetaContext(beta={mp.nstr(self.beta, 20)}, "
-                f"precision_bits={self.precision_bits})")
+                f"precision_bits={self.precision_bits}, "
+                f"comparison_tolerance={mp.nstr(self.comparison_tolerance, 5)})")
 
     def power(self, n: int):
         """beta^n for n >= 0, cached."""
@@ -323,9 +309,8 @@ def _exact_sign(coefficients: tuple, x) -> int:
 
 @dataclass
 class RootSearchCounts:
-    """Counts of :func:`_certified_sign`, which the root search and
-    ``bounds.kappa_lower_bound`` share, kept over the life of the process;
-    read them as differences.
+    """Counts of :func:`certified_sign`, from every caller, kept over the
+    life of the process; read them as differences.
 
     ``evaluations``: every sign asked for.  ``float_signs``: signs the
     float64 tier decided.  ``exact_signs``: signs that neither floating
@@ -414,13 +399,13 @@ def _float_value(coefficients: tuple, x):
 def _sign_slack(coefficients: tuple, precision_bits: int):
     """(terms + 4) 2^(1-prec) sum |c_e|: times x^deg, a bound on the error
     of a ``precision_bits`` evaluation of p at x >= 1 (see
-    :func:`_certified_sign`)."""
+    :func:`certified_sign`)."""
     with workprec(precision_bits):
         return (mpf(len(coefficients) + 4) * 2 ** (1 - precision_bits)
                 * sum(abs(c) for _, c in coefficients))
 
 
-def _certified_sign(coefficients: tuple, x) -> int:
+def certified_sign(coefficients: tuple, x) -> int:
     """Sign of p(x) for a sparse coefficient tuple (descending exponents)
     and an mpf x >= 1, always exact, in up to three tiers.
 
@@ -529,7 +514,7 @@ def smallest_root_above_one(spec: PolynomialSpec, abs_tol: float = DEFAULT_ROOT_
     sign, and that cell, bisected down to width ``abs_tol``, holds the only
     root above 1.  Every sign is exact: a ``precision_bits`` evaluation
     decides it when its error bound allows, and integer arithmetic
-    otherwise (:func:`_certified_sign`).
+    otherwise (:func:`certified_sign`).
     When the grid shows no sign change, but the exact sign of p just right
     of 1 (:func:`_sign_right_of_one`) differs from its sign at 1 + 1e-9,
     the root lies in (1, 1 + 1e-9] and that cell is bisected instead, until
@@ -560,13 +545,13 @@ def smallest_root_above_one(spec: PolynomialSpec, abs_tol: float = DEFAULT_ROOT_
     with workprec(precision_bits):
         tol = mpf(abs_tol)
         coefficients = spec.coefficients
-        s0 = _certified_sign(coefficients, grid[0])
+        s0 = certified_sign(coefficients, grid[0])
         if s0 == 0:
             return grid[0]
         neg = s0 < 0
 
         def changed(j):
-            sj = _certified_sign(coefficients, grid[j])
+            sj = certified_sign(coefficients, grid[j])
             return sj == 0 or (sj < 0) != neg
 
         j = 1 + bisect.bisect_left(range(1, len(grid)), True, key=changed)
@@ -583,7 +568,7 @@ def smallest_root_above_one(spec: PolynomialSpec, abs_tol: float = DEFAULT_ROOT_
             if mid in (lo, hi):
                 raise NoRootFound(f"{precision_bits} bits cannot narrow the root "
                                   f"of {spec.family.value} m={spec.m} further")
-            sm = _certified_sign(coefficients, mid)
+            sm = certified_sign(coefficients, mid)
             if sm == 0:
                 # nudge to the negative side of the exact hit
                 hi = mid
@@ -633,3 +618,9 @@ def lambda_threshold(m: int, abs_tol: float = DEFAULT_ROOT_TOL):
 def golden_ratio(precision_bits: int = DEFAULT_PRECISION_BITS):
     with workprec(precision_bits):
         return (1 + mp.sqrt(5)) / 2
+
+
+def below_golden_ratio(beta) -> bool:
+    """Whether the mpf beta >= 1 lies below (1+sqrt(5))/2, exactly: the
+    sign of beta^2 - beta - 1, which is negative on [1, golden ratio)."""
+    return certified_sign(((2, 1), (1, -1), (0, -1)), beta) < 0

@@ -4,7 +4,7 @@ import math
 
 import pytest
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import mpf_pos, round_floor
+from mpmath.libmp import from_man_exp, mpf_pos, round_floor
 
 from betaprefix import (BetaContext, CapExceeded, OutOfDomain,
                         apply_word, bound_report, delta_search,
@@ -42,6 +42,25 @@ class TestKappa:
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
             kappa_lower_bound(BetaContext("1.62"))
+
+    @pytest.mark.parametrize("precision", [96, 128, 200])
+    def test_rounded_golden_ratio_is_below_it(self, precision):
+        # golden_ratio(p) rounds below the golden ratio at these precisions;
+        # the exact comparison admits it, and 1+beta-beta^2, which rounds to
+        # 0 at p bits, is exact at 2p
+        g = golden_ratio(precision)
+        with workprec(8 * precision):
+            assert g < (1 + mp.sqrt(5)) / 2
+            arg = (g ** 2 - 1) / (1 + g - g ** 2)
+            fl = int(mp.floor(mp.log(arg) / mp.log(g)))
+        ctx = BetaContext(g, precision)
+        assert kappa_lower_bound(ctx) == 0.5 / (fl + 1)
+        assert bound_report(ctx, 8).kappa == 0.5 / (fl + 1)
+        # the next value up lies above the golden ratio and is rejected
+        above = BetaContext(mp.make_mpf(from_man_exp(g.man + 1, g.exp)), precision)
+        with pytest.raises(OutOfDomain):
+            kappa_lower_bound(above)
+        assert bound_report(above, 8).kappa is None
 
     def test_floor_is_exact(self):
         # the floor of log_beta A, taken in integers at the context's own

@@ -182,6 +182,24 @@ class TestGenerate:
         assert code == 0, err
         assert "stage 1: 16 words" in out
 
+    @pytest.mark.parametrize("argv, steps, counts", [
+        (["omega:2", "35.2367", "2"], 453, [1, 16, 256]),
+        (["omega:2", "0.000001", "2"], 590, [1, 16, 256]),
+        (["omega:1", "0.00000000001", "1"], 375, [1, 4, 16])])
+    def test_long_entries(self, capsys, argv, steps, counts):
+        # each entry is longer than the step cap that once made it exit 3
+        code, out, err = run_cli(capsys, "generate", *argv, "2", "--format", "records")
+        assert code == 0, err
+        recs = [json.loads(line) for line in out.splitlines()]
+        assert recs[0]["entry_steps"] == steps
+        assert [r["count"] for r in recs if r["kind"] == "stage"] == counts
+
+    def test_entry_past_the_ceiling_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "generate", "omega:2", "1e-200", "2", "1",
+                               "--tolerance", "0")
+        assert code == 2
+        assert json.loads(err)["error"] == "CapExceeded"
+
     def test_records(self, capsys):
         code, out, _ = run_cli(capsys, "generate", "1.05", "11.0", "1", "2",
                                "--format", "records")
@@ -233,6 +251,15 @@ class TestBounds:
         head = json.loads(out.splitlines()[0])
         assert head["omega_bound_m"] == 1
         assert head["best_lower"] == pytest.approx(2 / 3)
+
+    def test_golden_ratio_at_128_bits_has_kappa(self, capsys):
+        # the base rounds below the golden ratio, so kappa applies
+        code, out, err = run_cli(capsys, "bounds",
+                                 "1.6180339887498948482045868343656381177201",
+                                 "--format", "records")
+        assert code == 0, err
+        head = json.loads(out.splitlines()[0])
+        assert head["kappa"] == head["best_lower"] == 0.5 / 190
 
     def test_bad_beta_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "2.5")

@@ -6,16 +6,16 @@ import math
 
 import pytest
 from mpmath import frexp, mp, mpf, workprec
-from mpmath.libmp import mpf_add
+from mpmath.libmp import from_man_exp, mpf_add
 
 import betaprefix.generators as gn
-import betaprefix.numeric as numeric
-from betaprefix import (BetaContext, ContainmentViolation, InvalidPoint,
-                        MemoryGuard, OutOfDomain, apply_map, apply_word,
+from betaprefix import (BetaContext, CapExceeded, ContainmentViolation,
+                        InvalidPoint, MemoryGuard, OutOfDomain, apply_map, apply_word,
                         block_steering_interval, entry_word_m, entry_word_s3,
                         enumerate_prefixes_direct, extend_block_m,
-                        extend_block_s3, golden_ratio, lambda_threshold,
-                        omega_threshold, pair_steering_interval,
+                        extend_block_s3, golden_ratio, kappa_lower_bound,
+                        lambda_threshold, omega_threshold,
+                        pair_steering_interval,
                         run_generator_m, run_generator_s3,
                         smallest_root_above_one, polynomial_spec,
                         PolynomialFamily)
@@ -125,6 +125,17 @@ class TestPairSteeringInterval:
             assert iv.hi == apply_map(ctx, 0, ctx.core_hi)
             _assert_closed_forms(ctx, iv, 1)
 
+    @pytest.mark.parametrize("precision", [96, 128, 200])
+    def test_rounded_golden_ratio_is_in_domain(self, precision):
+        # golden_ratio(p) rounds below the golden ratio, so the exact sign of
+        # beta^2 - beta - 1 admits it; the next value up is rejected
+        g = golden_ratio(precision)
+        iv = pair_steering_interval(BetaContext(g, precision))
+        assert iv.lo <= iv.core_lo < iv.core_hi <= iv.hi
+        above = mp.make_mpf(from_man_exp(g.man + 1, g.exp))
+        with pytest.raises(OutOfDomain):
+            pair_steering_interval(BetaContext(above, precision))
+
     def test_out_of_domain_at_golden_ratio(self):
         ctx = BetaContext("1.62")
         for _ in range(2):  # a failed validation is not cached
@@ -229,13 +240,57 @@ class TestEntryWords:
         with pytest.raises(InvalidPoint):
             entry_word_m(ctx, 1, ctx.one_over_beta_minus_one)
 
-    def test_unreachable_when_entry_exceeds_depth_cap(self):
-        # an interior point so close to 0 that the climb would need more
-        # than 64*(2m+3) steps trips the cap loudly
-        from betaprefix import Unreachable
+    def test_long_climb_from_below_enters(self):
+        # 1e-14 needs 675 steps at this base, past the guessed 64*(2m+3) =
+        # 320 that once capped the climb; its computed length bounds it now
         ctx = BetaContext(_beta_below_omega(1))
-        with pytest.raises(Unreachable):
+        word, steps = entry_word_m(ctx, 1, mpf(10) ** -14)
+        assert word == "0" * steps and steps == 675
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_climb_length_matches_the_climb(self, rng, m):
+        ctx = BetaContext(_beta_below_omega(m))
+        window = block_steering_interval(ctx, m).window
+        with workprec(ctx.precision_bits):
+            ub = ctx.one_over_beta_minus_one
+            points = [window.lo_w * mpf(10) ** -rng.uniform(0, 12) for _ in range(40)]
+            points += [ub - (ub - window.hi_w) * mpf(10) ** -rng.uniform(0, 12)
+                       for _ in range(40)]
+            for x in points:
+                run, _ = gn._climb(ctx, window, x._mpf_, 10 ** 5)
+                assert abs(len(run) - gn._climb_length(ctx, window, x)) <= 1
+
+    def test_climb_length_near_one(self):
+        # both logarithms are near 0 here: 1e-18 over 1e-20 is 100 steps
+        with workprec(128):
+            ctx = BetaContext(1 + mpf(10) ** -20)
+            window = block_steering_interval(ctx, 1).window
+            for k in (1, 7, 50):
+                x = window.lo_w * (1 - k * mpf(10) ** -18)
+                run, _ = gn._climb(ctx, window, x._mpf_, 10 ** 5)
+                assert 100 * k - 1 <= len(run) <= 100 * k + 1
+                assert abs(len(run) - gn._climb_length(ctx, window, x)) <= 1
+
+    def test_climb_past_its_computed_length_is_unreachable(self, monkeypatch):
+        from betaprefix import Unreachable
+        monkeypatch.setattr(gn, "_climb_length", lambda *args: 3)
+        ctx = BetaContext(_beta_below_omega(1))
+        with pytest.raises(Unreachable, match="past the computed 3"):
             entry_word_m(ctx, 1, mpf(10) ** -14)
+
+    def test_entry_past_the_ceiling_is_cap_exceeded(self):
+        ctx = BetaContext(omega_threshold(2), comparison_tolerance=0)
+        with pytest.raises(CapExceeded, match="16553 digits"):
+            entry_word_m(ctx, 2, mpf(10) ** -200)
+
+    def test_spent_search_budget_is_cap_exceeded(self, monkeypatch):
+        # the descent from above takes the lexicographic search, which once
+        # fell back to the all-ones word when its budget ran out
+        ctx = BetaContext(omega_threshold(2))
+        assert entry_word_m(ctx, 2, "35.2367")[1] == 453
+        monkeypatch.setattr(gn, "_ENTRY_DFS_BUDGET", 100)
+        with pytest.raises(CapExceeded, match="budget of 100 nodes"):
+            entry_word_m(ctx, 2, "35.2367")
 
     def test_out_of_domain_base(self):
         with pytest.raises(OutOfDomain):
@@ -834,9 +889,15 @@ def test_violations_are_those_of_mpf_operators(precision, monkeypatch, rng):
 # ------------------------------------------------------- shared tables
 
 class TestSharedTables:
+    """Each per-base table is a ``functools.lru_cache`` keyed on the context,
+    and contexts are values: equal ones share every table."""
+
+    _CACHES = ("block_steering_interval", "pair_steering_interval",
+               "_require_pair_mode", "_block_words", "_steering_table")
+
     def test_equal_keys_share_tables(self):
         a, b = BetaContext("1.02"), BetaContext("1.02")
-        assert a.cache is b.cache is BetaContext(a.beta).cache
+        assert a is not b and a == b
         assert block_steering_interval(a, 2) is block_steering_interval(b, 2)
         assert gn._steering_table(a, 3) is gn._steering_table(b, 3)
         assert gn._block_words(a, 5, "1") is gn._block_words(b, 5, "1")
@@ -847,25 +908,39 @@ class TestSharedTables:
     def test_other_precision_or_tolerance_does_not(self, other):
         beta = _beta_below_omega(2)
         a, b = BetaContext(beta), BetaContext(beta, **other)
-        assert a.cache is not b.cache
+        assert a != b
         assert block_steering_interval(a, 2) is not block_steering_interval(b, 2)
 
     def test_failed_validation_is_not_stored(self):
         contexts = [BetaContext("1.55") for _ in range(2)]  # above omega_2, lambda_2
-        for ctx in contexts:
-            with pytest.raises(OutOfDomain):
-                block_steering_interval(ctx, 2)
-            with pytest.raises(OutOfDomain):
-                gn._require_pair_mode(ctx, 2)
-        assert ("block_steering_interval", 2) not in contexts[0].cache
-        assert ("_require_pair_mode", 2) not in contexts[0].cache
+        for fn in (block_steering_interval, gn._require_pair_mode):
+            before = fn.cache_info()
+            for ctx in contexts:  # the second call raises again
+                with pytest.raises(OutOfDomain):
+                    fn(ctx, 2)
+            after = fn.cache_info()
+            assert after.misses == before.misses + 2
+            assert after.currsize == before.currsize
 
     def test_store_is_bounded(self):
-        cap = numeric._MAX_SHARED_BASES
+        cap = gn._TABLE_CACHE_SIZE
+        for name in self._CACHES:
+            assert getattr(gn, name).cache_info().maxsize == cap
         contexts = [BetaContext(1 + i / 997) for i in range(1, 2 * cap + 2)]
-        for ctx in contexts:
-            pair_steering_interval(ctx)
-        assert len(numeric._SHARED_TABLES) == cap
+        first = [pair_steering_interval(ctx) for ctx in contexts]
+        assert pair_steering_interval.cache_info().currsize == cap
         # the most recently used bases are kept, the oldest dropped
-        assert BetaContext(contexts[-1].beta).cache is contexts[-1].cache
-        assert BetaContext(contexts[0].beta).cache is not contexts[0].cache
+        assert pair_steering_interval(BetaContext(contexts[-1].beta)) is first[-1]
+        assert pair_steering_interval(BetaContext(contexts[0].beta)) is not first[0]
+
+    def test_other_bases_leave_a_generator_base_in_place(self):
+        # contexts that never run a generator enter no table cache, so 40 of
+        # them (a burst of bounds requests, say) evict nothing
+        beta = _beta_below_omega(1)
+        run_generator_m(BetaContext(beta), 1, 7.0, 1)
+        kept = (block_steering_interval(BetaContext(beta), 1),
+                gn._block_words(BetaContext(beta), 3, "1"))
+        for i in range(40):
+            kappa_lower_bound(BetaContext(1.2 + i / 400))
+        assert block_steering_interval(BetaContext(beta), 1) is kept[0]
+        assert gn._block_words(BetaContext(beta), 3, "1") is kept[1]

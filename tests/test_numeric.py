@@ -18,8 +18,8 @@ from betaprefix import (BetaContext, NoRootFound, PolynomialFamily,
                         polynomial_spec, polynomial_string,
                         smallest_root_above_one)
 from betaprefix.numeric import (ROOT_SEARCH_COUNTS, PolynomialSpec,
-                                _certified_sign, _exact_sign, _float_value,
-                                _sign_right_of_one, _sparse,
+                                _exact_sign, _float_value, _sign_right_of_one,
+                                _sparse, certified_sign,
                                 descartes_bound_above_one, round_nearest_even)
 
 # Published threshold values (5 decimal places); the last-digit unit
@@ -51,6 +51,19 @@ class TestBetaContext:
         assert float(ctx15.core_lo) == pytest.approx(0.8)
         assert float(ctx15.core_hi) == pytest.approx(1.2)
         assert ctx15.core_lo < ctx15.core_hi < ctx15.one_over_beta_minus_one
+
+    def test_equal_keys_compare_equal_and_hash_alike(self):
+        # the key is (beta, precision, tolerance) as the context holds them
+        a = BetaContext("1.3")
+        b = BetaContext(a.beta, 128, mpf(2) ** -64)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        for other in (BetaContext("1.3", 96), BetaContext("1.3", comparison_tolerance=0),
+                      BetaContext("1.31")):
+            assert a != other
+        assert a != "1.3"
+        assert repr(a) == ("BetaContext(beta=1.3, precision_bits=128, "
+                           "comparison_tolerance=5.421e-20)")
 
     def test_core_two_cycle(self, rng):
         # T0 sends the lower core endpoint to the upper and T1 sends it back
@@ -526,7 +539,7 @@ class TestRoots:
             with workprec(precision):
                 for _ in range(200):
                     x = center + mpf(10) ** -rng.uniform(0, 80)
-                    assert (_certified_sign(spec.coefficients, x)
+                    assert (certified_sign(spec.coefficients, x)
                             == _exact_sign(spec.coefficients, x))
 
     def test_exact_sign_matches_fractions(self, rng):
@@ -681,7 +694,7 @@ class TestFloatTier:
         with workprec(160):
             for x in (mpf(1), mpf("1.5"), mpf(2)):
                 assert _float_value(coefficients, x) is None
-                assert _certified_sign(coefficients, x) == _exact_sign(coefficients, x)
+                assert certified_sign(coefficients, x) == _exact_sign(coefficients, x)
         assert _float_value(((1, 2 ** 999), (0, -2 ** 999)), mpf(2)) is None  # sum |c| = 2^1000
         assert _float_value(((1, 1), (0, -1)), mpf("0.99")) is None  # x outside [1, 2]
 
