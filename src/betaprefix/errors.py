@@ -27,7 +27,9 @@ class NoRootFound(InvariantError):
 
 
 class InvalidPoint(InputError):
-    """A point lies outside the admissible interval [0, 1/(beta-1)]."""
+    """A point lies outside the admissible interval [0, 1/(beta-1)], or a
+    generator's start point lies too close to 1/(beta-1) for its rounded
+    descent to leave that repelling fixed point."""
 
 
 class CapExceeded(InputError):

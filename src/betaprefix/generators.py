@@ -23,28 +23,23 @@ are built once per base and process by ``functools.lru_cache``: contexts
 are values (see ``numeric``).  A run looks its tables up once, when it
 builds its extension function, not once per parent.
 
-A steering word of length L acts on an orbit value v as beta^L * v + q.
-Rounding ``beta^L * v + q`` is monotone in the offset q, so the words that
-land in the widened interval form one run of the offset-sorted table, and
-the lexicographically smallest word of the run is the one a lexicographic
-scan of all 2^L words would find first, with the same value.  The table
-keeps its offsets exactly, as Python ints at one common binary exponent,
-and the run is found by C ``bisect`` on the exact integer targets
-``lo_w - beta^L * v`` and ``hi_w - beta^L * v``; rounding can only add the
-offsets next to either end of that run, and those few are decided by
-rounding their sums with ``numeric.round_nearest_even``.  For the same
-monotonicity a majority block's extreme values come from its extreme
+Every orbit loop (the forced climb, the block landings, the branch digit,
+the steering, the stage extremes and the entry search) runs on the pairs of
+``numeric``; values become mpf only where a stage stores them.
+
+A word of length L acts on an orbit value v as beta^L * v + q.  One
+builder, :func:`_offset_table`, keeps the offsets q of a list of words
+exactly, as Python ints at one common binary exponent.  Rounding
+``beta^L * v + q`` is monotone in q, so the steering words that land in the
+widened interval form one run of the offset-sorted table, and the
+lexicographically smallest word of the run is the one a lexicographic scan
+of all 2^L words would find first, with the same value.  The run is found
+by C ``bisect`` on the exact integer targets ``lo_w - beta^L * v`` and
+``hi_w - beta^L * v``; rounding can only add the offsets next to either end
+of that run, and those few are decided by rounding their sums.  For the
+same monotonicity a majority block's extreme values come from its extreme
 offsets, and each stage carries its least and greatest orbit value without
 comparing all of them.
-
-The other orbit loops (the forced climb and the block extensions) run on
-raw libmp values, the ``_mpf_`` tuples of mpf numbers: they call
-``mpf_mul``, ``mpf_add``, ``mpf_sub`` and ``mpf_cmp`` at
-``ctx.precision_bits`` with round-to-nearest.  Each of these, like the
-integer rounding of the steering search, is correctly rounded, and they
-run in the order the mpf operators would under ``workprec``, so every
-value and every containment decision is the one the operators give,
-without their dispatch.  Values leave the loops as mpf.
 """
 
 from __future__ import annotations
@@ -55,14 +50,13 @@ import itertools
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import (fone, from_man_exp, mpf_add, mpf_cmp, mpf_mul, mpf_sub,
-                          round_nearest)
 
 from .errors import (CapExceeded, ContainmentViolation, InvalidPoint,
                      MemoryGuard, NoSteeringWord, OutOfDomain, Unreachable)
-from .numeric import (BetaContext, Window, apply_word, below_golden_ratio,
-                      lambda_threshold, omega_threshold, round_nearest_even,
-                      to_raw)
+from .numeric import (BetaContext, Window, apply_word, apply_word_pair,
+                      below_golden_ratio, compare_pairs, from_pair,
+                      lambda_threshold, map_pair, omega_threshold, pair_product,
+                      pair_sum, round_nearest_even, to_pair)
 from .prefixes import DEFAULT_SURVIVOR_CAP
 
 _ENTRY_DFS_BUDGET = 2_000_000
@@ -72,9 +66,6 @@ _TABLE_CACHE_SIZE = 256  # entries of each per-base table cache
 
 MODE_MAJORITY = "m"
 MODE_STEERED_PAIR = "s3"
-
-_RND = round_nearest
-_wrap = mp.make_mpf  # raw libmp value -> mpf, without rounding
 
 
 @dataclass(frozen=True)
@@ -165,14 +156,19 @@ def _lex_smallest_entry(ctx: BetaContext, target: Window, x, length: int):
     Depth-first in lex order with interval-reachability pruning: from value
     v with n steps left every reachable final value lies between the all-ones
     composition beta^n (v - ub) + ub and the all-zeros composition beta^n v,
-    so subtrees whose bound interval misses the target are skipped.  Raises
+    so subtrees whose bound interval misses the target are skipped.  Pairs
+    are rounded as the mpf ``bn * (v - ub) + ub``, ``bn * v``,
+    ``beta * v - 1`` and, for digit 0, that child ``+ 1`` would be.  Raises
     CapExceeded past ``_ENTRY_DFS_BUDGET`` nodes, Unreachable on no hit.
     """
-    ub = ctx.one_over_beta_minus_one
-    beta = ctx.beta
+    prec = ctx.precision_bits
+    powers = ctx.int_powers(length)
+    ub = to_pair(ctx.one_over_beta_minus_one, prec)
+    minus_ub = (-ub[0], ub[1])
+    lo, hi = target.ends
     base = ctx.base
     nodes = 0
-    stack = [("", mpf(x))]
+    stack = [("", to_pair(x, prec))]
     while stack:
         w, v = stack.pop()
         nodes += 1
@@ -182,44 +178,41 @@ def _lex_smallest_entry(ctx: BetaContext, target: Window, x, length: int):
                 f"spent its budget of {_ENTRY_DFS_BUDGET} nodes")
         n = length - len(w)
         if n == 0:
-            if target.contains(v):
+            if target.contains_pair(v):
                 return w
             continue
-        bn = ctx.power(n)
-        if bn * (v - ub) + ub > target.hi_w:
+        bn = powers[n]
+        ones = pair_sum(pair_product(bn, pair_sum(v, minus_ub, prec), prec), ub, prec)
+        if compare_pairs(ones, hi) > 0:
             continue
-        if bn * v < target.lo_w:
+        if compare_pairs(pair_product(bn, v, prec), lo) < 0:
             continue
-        child = beta * v - 1
-        if base.contains(child):
+        child = map_pair(ctx, 1, v)
+        if base.contains_pair(child):
             stack.append((w + "1", child))
-        child += 1
-        if base.contains(child):
+        child = pair_sum(child, (1, 0), prec)
+        if base.contains_pair(child):
             stack.append((w + "0", child))
     raise Unreachable(
         f"no word of length {length} from x={x} lands in [{target.lo}, {target.hi}]")
 
 
 def _climb(ctx: BetaContext, window: Window, v, cap: int):
-    """Forced run of the raw orbit value v towards ``window``: digit 0 while
-    v lies below it, digit 1 while above.  Returns (digits, raw value
-    reached), or None when the run needs more than ``cap`` digits.  Digit 0
-    moves v up, away from 0, and digit 1 moves it down, away from
-    1/(beta-1), so the run is monotone; its last step may jump over the
-    window, and callers check where it landed."""
-    prec, beta = ctx.precision_bits, ctx.beta._mpf_
-    lo, hi = window.lo_w._mpf_, window.hi_w._mpf_
-    up = mpf_cmp(v, lo) < 0
+    """Forced run of the orbit pair v towards ``window``: digit 0 while v
+    lies below it, digit 1 while above.  Returns (digits, pair reached), or
+    None when the run needs more than ``cap`` digits.  Digit 0 moves v up,
+    away from 0, and digit 1 moves it down, away from 1/(beta-1), so the run
+    is monotone; its last step may jump over the window, and callers check
+    where it landed."""
+    lo, hi = window.ends
+    up = compare_pairs(v, lo) < 0
+    digit = 0 if up else 1
     digits = ""
-    while mpf_cmp(v, lo) < 0 if up else mpf_cmp(v, hi) > 0:
+    while compare_pairs(v, lo) < 0 if up else compare_pairs(v, hi) > 0:
         if len(digits) == cap:
             return None
-        v = mpf_mul(beta, v, prec, _RND)
-        if up:
-            digits += "0"
-        else:
-            v = mpf_sub(v, fone, prec, _RND)
-            digits += "1"
+        v = map_pair(ctx, digit, v)
+        digits += "01"[digit]
     return digits, v
 
 
@@ -244,14 +237,23 @@ def _entry_word(ctx: BetaContext, target: Window, x):
     the lexicographically smallest word; from above, the all-ones descent
     only fixes the length.
 
+    x must lie more than the tolerance above 0 and below u = 1/(beta-1),
+    and more than 2 ulp(u) / (beta - 1) below u: near that repelling fixed
+    point each step beta * v - 1 gains only (beta - 1)(u - v) on it and
+    rounds off up to 1.5 ulp(u), so a rounded descent need not leave it.
     Past ``_ENTRY_CEILING`` digits the request raises CapExceeded; a climb
     longer than :func:`_climb_length` plus ``_CLIMB_MARGIN`` is Unreachable.
     """
     lo, hi = target.lo, target.hi
-    with workprec(ctx.precision_bits):
+    prec = ctx.precision_bits
+    with workprec(prec):
         x, tol = mpf(x), ctx.comparison_tolerance
-        if not tol < x < ctx.one_over_beta_minus_one - tol:
-            raise InvalidPoint(f"x={x} must lie strictly inside (0, 1/(beta-1))")
+        u = ctx.one_over_beta_minus_one
+        _, _, exp, bc = u._mpf_
+        near = max(tol, 2 * mpf(2) ** (exp + bc - prec) / (ctx.beta - 1))
+        if not tol < x < u - near:
+            raise InvalidPoint(f"x={x} must lie strictly inside (0, 1/(beta-1)), "
+                               f"more than {mp.nstr(near, 3)} below its upper end")
         if target.contains(x):
             return "", 0
         steps = _climb_length(ctx, target, x)
@@ -259,12 +261,12 @@ def _entry_word(ctx: BetaContext, target: Window, x):
             raise CapExceeded(
                 f"entry into [{lo}, {hi}] from x={x} needs {steps} digits, "
                 f"above the ceiling of {_ENTRY_CEILING}")
-        climbed = _climb(ctx, target, x._mpf_, steps + _CLIMB_MARGIN)
+        climbed = _climb(ctx, target, to_pair(x, prec), steps + _CLIMB_MARGIN)
         if climbed is None:
             raise Unreachable(f"no entry into [{lo}, {hi}] from x={x} within "
                               f"{_CLIMB_MARGIN} steps past the computed {steps}")
-        run, v = climbed[0], _wrap(climbed[1])
-        if not target.contains(v):
+        run, v = climbed
+        if not target.contains_pair(v):
             raise Unreachable(
                 f"monotone {'climb' if x < lo else 'descent'} jumped over "
                 f"[{lo}, {hi}] from x={x}")
@@ -309,54 +311,67 @@ def _majority_words(length: int, heavy: str) -> tuple:
                  if bits.count(heavy) >= need)
 
 
+def _offset_table(ctx: BetaContext, words) -> tuple:
+    """(offsets, exp): the affine offset of each word (the word applied to
+    0), in the order given, kept exactly as the int ``offset / 2^exp`` at
+    the one common exponent ``exp``."""
+    pairs = [apply_word_pair(ctx, w, (0, 0)) for w in words]
+    exp = min(e for d, e in pairs if d)
+    return [d << (e - exp) for d, e in pairs], exp
+
+
 @_per_base
 def _block_words(ctx: BetaContext, length: int, heavy: str) -> tuple:
-    """(pairs, i_min, i_max): the majority words with their raw offsets, in
-    lexicographic order, and the positions of a least and a greatest
-    offset.  Applying a word acts on an orbit value v as
-    beta^length * v + offset."""
+    """(words, offsets, exp, i_min, i_max): the majority words in
+    lexicographic order with their offsets (:func:`_offset_table`), and the
+    positions of a least and a greatest offset."""
     words = _majority_words(length, heavy)
-    offsets = [apply_word(ctx, w, 0) for w in words]
+    offsets, exp = _offset_table(ctx, words)
     positions = range(len(words))
-    return (tuple((w, q._mpf_) for w, q in zip(words, offsets)),
-            min(positions, key=offsets.__getitem__),
+    return (words, offsets, exp, min(positions, key=offsets.__getitem__),
             max(positions, key=offsets.__getitem__))
 
 
 def _block_extender(ctx: BetaContext, m: int):
     """``extend(prefix_word, orbit)`` for majority mode: the blocks of
-    :func:`extend_block_m` with the least and greatest landing value.  The
-    steering interval and both block tables are looked up once, here.
+    :func:`extend_block_m` with the pairs of the least and greatest landing
+    value.  The steering interval and both block tables are looked up once,
+    here.
 
     Rounding keeps ``base + q`` monotone in q, so those are the landings of
     a least and a greatest offset, and every block lands inside the window
     when these two do; otherwise the first block in word order that leaves
     it is named."""
     iv = block_steering_interval(ctx, m)
-    window, pivot = iv.window, iv.pivot._mpf_
     prec = ctx.precision_bits
+    window, pivot = iv.window, to_pair(iv.pivot, prec)
     length = 2 * m + 1
-    scale = ctx.power(length)._mpf_
+    scale = ctx.int_powers(length)[length]
     tables = {heavy: _block_words(ctx, length, heavy) for heavy in "01"}
 
     def extend(prefix_word: str, orbit):
-        o = to_raw(orbit, prec)
-        if not window.contains_raw(o):
+        o = to_pair(orbit, prec)
+        if not window.contains_pair(o):
             with workprec(prec):
                 raise InvalidPoint(
-                    f"orbit {_wrap(o)} outside steering interval [{iv.lo}, {iv.hi}]")
-        pairs, i_min, i_max = tables["1" if mpf_cmp(o, pivot) >= 0 else "0"]
-        base = mpf_mul(scale, o, prec, _RND)
-        out = [(block, _wrap(mpf_add(base, q, prec, _RND))) for block, q in pairs]
-        least, greatest = out[i_min][1], out[i_max][1]
-        if not (window.contains_raw(least._mpf_)
-                and window.contains_raw(greatest._mpf_)):
-            block, v = next((b, v) for b, v in out if not window.contains(v))
+                    f"orbit {from_pair(o)} outside steering interval [{iv.lo}, {iv.hi}]")
+        words, offsets, exp, i_min, i_max = tables[
+            "1" if compare_pairs(o, pivot) >= 0 else "0"]
+        bd, be = pair_product(scale, o, prec)
+        c = min(be, exp)  # base + q is exact at 2^c
+        bd <<= be - c
+        shift = exp - c
+        landings = [round_nearest_even((q << shift) + bd, c, prec) for q in offsets]
+        least, greatest = landings[i_min], landings[i_max]
+        if not (window.contains_pair(least) and window.contains_pair(greatest)):
+            block, v = next((b, v) for b, v in zip(words, landings)
+                            if not window.contains_pair(v))
             with workprec(prec):
                 raise ContainmentViolation(
                     f"block {block} (after {prefix_word!r}) leaves the steering "
-                    f"interval: value {v} not in [{iv.lo}, {iv.hi}] at beta={ctx.beta}")
-        return out, (least, greatest)
+                    f"interval: value {from_pair(v)} not in [{iv.lo}, {iv.hi}] "
+                    f"at beta={ctx.beta}")
+        return list(zip(words, map(from_pair, landings))), (least, greatest)
     return extend
 
 
@@ -374,53 +389,41 @@ def extend_block_m(ctx: BetaContext, m: int, prefix_word: str, orbit):
     return _block_extender(ctx, m)(prefix_word, orbit)[0]
 
 
-def _man_exp(raw) -> tuple:
-    """A finite raw value as (signed mantissa, exponent)."""
-    sign, man, exp, _ = raw
-    return (-man if sign else man), exp
-
-
 @_per_base
 def _steering_table(ctx: BetaContext, length: int) -> tuple:
     """(offsets, exp, words): every word of the given length (at least 1)
-    with its affine offset, sorted by offset.  The offsets are dyadic, so
-    each is kept exactly as the int ``offset / 2^exp`` at the one common
-    exponent ``exp``."""
+    with its offset (:func:`_offset_table`), sorted by offset."""
     words = ["".join(bits) for bits in itertools.product("01", repeat=length)]
-    pairs = [_man_exp(apply_word(ctx, w, 0)._mpf_) for w in words]
-    exp = min(e for d, e in pairs if d)
-    table = sorted((d << (e - exp), w) for (d, e), w in zip(pairs, words))
+    offsets, exp = _offset_table(ctx, words)
+    table = sorted(zip(offsets, words))
     return [q for q, _ in table], exp, [w for _, w in table]
 
 
 def _steer_into(ctx: BetaContext, target: Window, value, length: int,
                 table=None):
     """Lexicographically smallest word of the given length whose affine
-    action sends the mpf ``value`` into the window ``target``, with the
-    value it lands on; ``table`` is ``_steering_table(ctx, length)``.
+    action sends the pair ``value`` into the window ``target``, with the
+    pair it lands on; ``table`` is ``_steering_table(ctx, length)``.
 
     The landing of offset q is ``base + q`` rounded once, base being
-    beta^length * value rounded once (:func:`round_nearest_even`, on
-    integer mantissas).  The offsets whose exact sum lies inside the widened
-    ends are the run between the integer targets ``lo_w - base`` and
-    ``hi_w - base``, which C ``bisect`` finds.  The ends are representable
-    and rounding is monotone, so rounding can only add to that run: an
-    exact sum just below ``lo_w`` may round up onto it, one just above
-    ``hi_w`` down onto it.  So the run's ends are widened while the rounded
-    landing of the next offset still lies inside."""
+    beta^length * value rounded once.  The offsets whose exact sum lies
+    inside the widened ends are the run between the integer targets
+    ``lo_w - base`` and ``hi_w - base``, which C ``bisect`` finds.  The ends
+    are representable and rounding is monotone, so rounding can only add to
+    that run: an exact sum just below ``lo_w`` may round up onto it, one
+    just above ``hi_w`` down onto it.  So the run's ends are widened while
+    the rounded landing of the next offset still lies inside."""
     prec = ctx.precision_bits
     if length == 0:
-        if target.contains_raw(value._mpf_):
+        if target.contains_pair(value):
             return "", value
         with workprec(prec):
             raise NoSteeringWord(
-                f"value {value} not in steering interval and no steering steps left")
+                f"value {from_pair(value)} not in steering interval and no "
+                "steering steps left")
     offsets, exp, words = table or _steering_table(ctx, length)
-    pm, pe = ctx.int_powers(length)[length]
-    vd, ve = _man_exp(value._mpf_)
-    bd, be = round_nearest_even(pm * vd, pe + ve, prec)
-    lo, hi = target.lo_w._mpf_, target.hi_w._mpf_
-    (ld, le), (hd, he) = _man_exp(lo), _man_exp(hi)
+    bd, be = pair_product(ctx.int_powers(length)[length], value, prec)
+    (ld, le), (hd, he) = target.ends
     c = min(be, exp, le, he)  # every sum below is exact at 2^c
     bd <<= be - c
     ld <<= le - c
@@ -440,53 +443,53 @@ def _steer_into(ctx: BetaContext, target: Window, value, length: int,
     if first == end:
         with workprec(prec):
             raise NoSteeringWord(
-                f"no word of length {length} steers {value} back into "
+                f"no word of length {length} steers {from_pair(value)} back into "
                 f"[{target.lo}, {target.hi}] at beta={ctx.beta}")
     k = min(range(first, end), key=words.__getitem__)
-    return words[k], _wrap(from_man_exp(landing(k), c))
+    return words[k], (landing(k), c)
 
 
 def _pair_extender(ctx: BetaContext, m: int):
     """``extend(prefix_word, orbit)`` for steered-pair mode: the pair of
-    :func:`extend_block_s3` with the least and greatest landing value.  The
-    pair-mode check, the steering interval and each steering table are
-    looked up once, here (a table when its length is first needed)."""
+    :func:`extend_block_s3` with the pairs of the least and greatest
+    landing value.  The pair-mode check, the steering interval and each
+    steering table are looked up once, here (a table when its length is
+    first needed)."""
     _require_pair_mode(ctx, m)
     iv = pair_steering_interval(ctx)
-    prec, beta = ctx.precision_bits, ctx.beta._mpf_
+    prec = ctx.precision_bits
     tables = [None] * (m + 2)  # steering table per length
 
     def extend(prefix_word: str, orbit):
-        o = to_raw(orbit, prec)
-        if not iv.window.contains_raw(o):
+        o = to_pair(orbit, prec)
+        if not iv.window.contains_pair(o):
             with workprec(prec):
                 raise InvalidPoint(
-                    f"orbit {_wrap(o)} outside steering interval [{iv.lo}, {iv.hi}]")
+                    f"orbit {from_pair(o)} outside steering interval [{iv.lo}, {iv.hi}]")
         climbed = _climb(ctx, iv.core, o, m + 1)
         if climbed is None:
+            side = "climb" if compare_pairs(o, iv.core.ends[0]) < 0 else "descent"
             with workprec(prec):
                 raise ContainmentViolation(
-                    f"forced {'climb' if mpf_cmp(o, iv.core.lo_w._mpf_) < 0 else 'descent'}"
-                    f" into the core took more than m+1={m + 1} steps at beta={ctx.beta}")
+                    f"forced {side} into the core took more than m+1={m + 1} "
+                    f"steps at beta={ctx.beta}")
         forced, v = climbed
         steer_len = m + 1 - len(forced)
         if steer_len and tables[steer_len] is None:
             tables[steer_len] = _steering_table(ctx, steer_len)
-        vb = mpf_mul(beta, v, prec, _RND)
-        out = []
-        for digit in ("0", "1"):
-            if digit == "1":
-                vb = mpf_sub(vb, fone, prec, _RND)
-            if not ctx.base.contains_raw(vb):
+        out, ends = [], []
+        for digit in (0, 1):
+            vb = map_pair(ctx, digit, v)
+            if not ctx.base.contains_pair(vb):
                 with workprec(prec):
                     raise ContainmentViolation(
                         f"branch digit {digit} leaves the admissible interval from "
-                        f"core value {_wrap(v)} at beta={ctx.beta}")
-            steer, vf = _steer_into(ctx, iv.window, _wrap(vb), steer_len,
-                                    tables[steer_len])
-            out.append((forced + digit + steer, vf))
-        (_, v0), (_, v1) = out
-        return tuple(out), ((v0, v1) if mpf_cmp(v0._mpf_, v1._mpf_) <= 0 else (v1, v0))
+                        f"core value {from_pair(v)} at beta={ctx.beta}")
+            steer, vf = _steer_into(ctx, iv.window, vb, steer_len, tables[steer_len])
+            out.append((forced + "01"[digit] + steer, from_pair(vf)))
+            ends.append(vf)
+        v0, v1 = ends
+        return tuple(out), ((v0, v1) if compare_pairs(v0, v1) <= 0 else (v1, v0))
     return extend
 
 
@@ -550,17 +553,17 @@ def _run_generator(ctx: BetaContext, mode: str, m: int, x, num_blocks: int,
             f"exceeds survivor cap {survivor_cap}")
     if mode == MODE_MAJORITY:
         entry, steps = entry_word_m(ctx, m, x)
-        block_length = 2 * m + 1
-        extend = _block_extender(ctx, m)
+        block_length, extender = 2 * m + 1, _block_extender
     else:
         entry, steps = entry_word_s3(ctx, m, x)
-        block_length = m + 2
-        extend = _pair_extender(ctx, m)
+        block_length, extender = m + 2, _pair_extender
     with workprec(ctx.precision_bits):
         x = mpf(x)
         v0 = apply_word(ctx, entry, x)
     stages = [((entry, v0),)]
     extremes = [(v0, v0)]
+    if num_blocks:  # a run with no blocks builds no block tables
+        extend = extender(ctx, m)
     for s in range(1, num_blocks + 1):
         # parents are in lexicographic order and each parent's blocks,
         # all of one length, come out in it, so the stage is sorted
@@ -569,16 +572,16 @@ def _run_generator(ctx: BetaContext, mode: str, m: int, x, num_blocks: int,
         for w, v in stages[-1]:
             blocks, (lo, hi) = extend(w, v)
             nxt.extend((w + block, nv) for block, nv in blocks)
-            if least is None or mpf_cmp(lo._mpf_, least._mpf_) < 0:
+            if least is None or compare_pairs(lo, least) < 0:
                 least = lo
-            if greatest is None or mpf_cmp(hi._mpf_, greatest._mpf_) > 0:
+            if greatest is None or compare_pairs(hi, greatest) > 0:
                 greatest = hi
         expected = _expected_stage_count(mode, m, s)
         if len(nxt) != expected:
             raise ContainmentViolation(
                 f"stage {s} produced {len(nxt)} words, expected {expected}")
         stages.append(tuple(nxt))
-        extremes.append((least, greatest))
+        extremes.append((from_pair(least), from_pair(greatest)))
     return GeneratorRun(mode=mode, m=m, x=x, entry_word=entry,
                         entry_steps=steps, block_length=block_length,
                         stages=tuple(stages), extremes=tuple(extremes))

@@ -16,12 +16,11 @@ A :class:`BetaContext` is a value: contexts with equal ``(beta,
 precision_bits, comparison_tolerance)`` compare equal and hash alike, so a
 table that another module derives from a base and caches with
 ``functools.lru_cache`` is built once per process, whichever context asks.
-The generators' hot loops run on raw libmp values (the ``_mpf_`` tuples of
-:func:`to_raw`); :class:`Window` decides containment for both kinds.
-:func:`apply_word` and the steering search run on Python-int mantissas
-instead: a value ``d * 2^e`` is the pair ``(d, e)``, sums and products are
-exact integer operations, and :func:`round_nearest_even` rounds each result
-once, as the matching libmp operation would.
+Every orbit loop runs on one arithmetic: a value ``d * 2^e`` is the pair
+``(d, e)`` of Python ints (:func:`to_pair`), sums and products are exact
+integer operations that :func:`round_nearest_even` rounds once each, as the
+mpf operators under ``workprec`` would, and :func:`compare_pairs` and
+:meth:`Window.contains_pair` compare exactly.
 """
 
 from __future__ import annotations
@@ -29,11 +28,11 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import from_man_exp, mpf_cmp, mpf_pos, round_nearest, to_float
+from mpmath.libmp import from_man_exp, mpf_pos, round_nearest, to_float
 
 from .errors import NoRootFound, OutOfDomain
 
@@ -54,18 +53,20 @@ class Window:
     ``lo_w = lo - tol`` and ``hi_w = hi + tol``; build it with
     :meth:`BetaContext.window`.  mpf comparisons are exact at any
     precision, so ``contains`` needs no working precision of its own, and
-    ``contains_raw`` makes the same two comparisons on a raw value."""
+    ``contains_pair`` makes the same two comparisons on a pair."""
 
     lo: object
     hi: object
     lo_w: object
     hi_w: object
+    ends: tuple = field(compare=False, repr=False)  # lo_w and hi_w as pairs
 
     def contains(self, x) -> bool:
         return self.lo_w <= x <= self.hi_w
 
-    def contains_raw(self, v) -> bool:
-        return mpf_cmp(self.lo_w._mpf_, v) <= 0 and mpf_cmp(v, self.hi_w._mpf_) <= 0
+    def contains_pair(self, v) -> bool:
+        lo, hi = self.ends
+        return compare_pairs(v, lo) >= 0 and compare_pairs(v, hi) <= 0
 
 
 def to_raw(x, precision_bits: int) -> tuple:
@@ -78,12 +79,26 @@ def to_raw(x, precision_bits: int) -> tuple:
         return mpf(x)._mpf_
 
 
+def to_pair(x, precision_bits: int) -> tuple:
+    """x rounded as by :func:`to_raw`, as the pair ``(d, e)`` with
+    x = d * 2^e; ValueError for an infinity or NaN, which no pair holds."""
+    sign, man, exp, _ = to_raw(x, precision_bits)
+    if not man and exp:
+        raise ValueError(f"{x} is not finite")
+    return (-man if sign else man), exp
+
+
+def from_pair(v):
+    """The pair v = (d, e) as the mpf d * 2^e, exactly."""
+    return mp.make_mpf(from_man_exp(*v))
+
+
 def round_nearest_even(d: int, e: int, precision_bits: int) -> tuple:
     """d * 2^e rounded to nearest, ties to even, at ``precision_bits``, as
     (d', e') with |d'| <= 2^precision_bits; an exact value comes back
     unchanged.  Correct rounding is unique, so rounding the exact result of
-    a sum or product gives the value ``mpf_add``, ``mpf_sub`` or
-    ``mpf_mul`` gives on operands of at most ``precision_bits`` bits."""
+    a sum or product gives the value the mpf operator gives on operands of
+    at most ``precision_bits`` bits under ``workprec(precision_bits)``."""
     n = d.bit_length() - precision_bits  # bit_length ignores the sign
     if n <= 0:
         return d, e
@@ -95,6 +110,38 @@ def round_nearest_even(d: int, e: int, precision_bits: int) -> tuple:
     if d >> (n - 1) & 1 and (q & 1 or d & ((1 << (n - 1)) - 1)):
         q += 1
     return q, e + n
+
+
+def pair_product(a, b, precision_bits: int) -> tuple:
+    """a * b for pairs, rounded once by :func:`round_nearest_even`."""
+    (ad, ae), (bd, be) = a, b
+    return round_nearest_even(ad * bd, ae + be, precision_bits)
+
+
+def pair_sum(a, b, precision_bits: int) -> tuple:
+    """a + b for pairs of at most ``precision_bits + 1`` mantissa bits,
+    rounded once.  Past an exponent gap of 2 precision_bits + 1 the operand
+    with the smaller exponent lies below half an ulp of the other, which is
+    then the rounded sum (unless zero), and no mantissa is shifted by it."""
+    (ad, ae), (bd, be) = (a, b) if a[1] >= b[1] else (b, a)
+    gap = ae - be
+    if gap > 2 * precision_bits + 1:
+        return (ad, ae) if ad else (bd, be)
+    return round_nearest_even((ad << gap) + bd, be, precision_bits)
+
+
+def compare_pairs(a, b) -> int:
+    """An int with the sign of a - b for pairs, exactly.  An operand whose
+    exponent lies further below the other's than its mantissa has bits
+    cannot decide the sign unless the other is zero, and is not shifted."""
+    (ad, ae), (bd, be) = a, b
+    if ae >= be:
+        if ae - be > bd.bit_length():
+            return ad or -bd
+        return (ad << (ae - be)) - bd
+    if be - ae > ad.bit_length():
+        return -bd or ad
+    return ad - (bd << (be - ae))
 
 
 class BetaContext:
@@ -134,8 +181,7 @@ class BetaContext:
             self.core_lo = 1 / (b * b - 1)
             self.core_hi = b / (b * b - 1)
         self.base = self.window(0, self.one_over_beta_minus_one)
-        self._powers = [mpf(1), self.beta]  # beta^n cache, grown on demand
-        self._int_powers = []  # the same values as (mantissa, exponent)
+        self._powers = [(1, 0), to_pair(b, self.precision_bits)]  # grown on demand
         self._key = (b._mpf_, self.precision_bits, self.comparison_tolerance._mpf_)
 
     def __eq__(self, other):
@@ -150,24 +196,19 @@ class BetaContext:
                 f"comparison_tolerance={mp.nstr(self.comparison_tolerance, 5)})")
 
     def power(self, n: int):
-        """beta^n for n >= 0, cached."""
+        """beta^n for n >= 0, as an mpf: the pair of :meth:`int_powers`."""
         if n < 0:
             raise ValueError("power() takes n >= 0")
-        pw = self._powers
-        if n >= len(pw):
-            with workprec(self.precision_bits):
-                while len(pw) <= n:
-                    pw.append(pw[-1] * self.beta)
-        return pw[n]
+        return from_pair(self.int_powers(n)[n])
 
     def int_powers(self, n: int) -> list:
-        """beta^0 .. beta^n (at least) as (mantissa, exponent) pairs: the
-        exact values of :meth:`power`, grown on demand with it."""
-        ip = self._int_powers
-        if n >= len(ip):
-            self.power(n)
-            ip.extend(p._mpf_[1:3] for p in self._powers[len(ip):])
-        return ip
+        """beta^0 .. beta^n (at least) as pairs, cached and grown on demand:
+        each is beta times the one before, rounded once, the values
+        repeated mpf products under ``workprec`` give."""
+        pw = self._powers
+        while len(pw) <= n:
+            pw.append(pair_product(pw[-1], pw[1], self.precision_bits))
+        return pw
 
     def window(self, lo, hi) -> Window:
         """[lo, hi] with its ends widened by the comparison tolerance.
@@ -176,9 +217,11 @@ class BetaContext:
         at a lower ambient precision could round them past the values they
         are meant to include.
         """
-        with workprec(self.precision_bits):
-            tol = self.comparison_tolerance
-            return Window(lo, hi, lo - tol, hi + tol)
+        prec = self.precision_bits
+        with workprec(prec):
+            lo_w = lo - self.comparison_tolerance
+            hi_w = hi + self.comparison_tolerance
+        return Window(lo, hi, lo_w, hi_w, (to_pair(lo_w, prec), to_pair(hi_w, prec)))
 
     def in_base_interval(self, x) -> bool:
         return self.base.contains(x)
@@ -188,8 +231,7 @@ def apply_map(ctx: BetaContext, digit: int, x):
     """One map step: returns beta*x - digit for digit in {0,1}."""
     if digit not in (0, 1):
         raise ValueError("digit must be 0 or 1")
-    with workprec(ctx.precision_bits):
-        return ctx.beta * mpf(x) - digit
+    return apply_word(ctx, "01"[digit], x)
 
 
 def apply_word(ctx: BetaContext, word: str, x):
@@ -205,29 +247,38 @@ def apply_word(ctx: BetaContext, word: str, x):
     e_n = 1 is rounded once; the powers are those of ``ctx.power``.  These
     are the operations ``ctx.power(k) * mpf(x)`` and ``acc -= ctx.power(k-n)``
     run under ``workprec``, each correctly rounded, so the result is the
-    same ``_mpf_``; here they run on integer mantissas
-    (:func:`round_nearest_even`).
+    same ``_mpf_``; here they run on pairs (:func:`apply_word_pair`).
     """
     if word.strip("01"):
         raise ValueError(f"word must be over '0'/'1', got {word!r}")
+    try:
+        v = to_pair(x, ctx.precision_bits)
+    except ValueError:  # inf or nan: no finite power moves it
+        with workprec(ctx.precision_bits):
+            return ctx.power(len(word)) * mpf(x)
+    return from_pair(apply_word_pair(ctx, word, v))
+
+
+def map_pair(ctx: BetaContext, digit: int, v) -> tuple:
+    """One map step on the pair v, beta * v - digit: the product rounded
+    once, then for digit 1 the difference rounded once, as
+    :func:`apply_map` rounds them."""
+    prec = ctx.precision_bits
+    v = pair_product(ctx.int_powers(1)[1], v, prec)
+    return pair_sum(v, (-1, 0), prec) if digit else v
+
+
+def apply_word_pair(ctx: BetaContext, word: str, v) -> tuple:
+    """:func:`apply_word` from the pair v to a pair, for a word over 0/1."""
     k = len(word)
     prec = ctx.precision_bits
-    sign, man, exp, _ = to_raw(x, prec)
-    if not man and exp:  # inf or nan: no finite power moves it
-        with workprec(prec):
-            return ctx.power(k) * mpf(x)
     powers = ctx.int_powers(k)
-    pm, pe = powers[k]
-    d, e = round_nearest_even(-pm * man if sign else pm * man, pe + exp, prec)
+    v = pair_product(powers[k], v, prec)
     for n, ch in enumerate(word, start=1):
         if ch == "1":
             pm, pe = powers[k - n]
-            if pe < e:
-                d, e = (d << (e - pe)) - pm, pe
-            else:
-                d -= pm << (pe - e)
-            d, e = round_nearest_even(d, e, prec)
-    return mp.make_mpf(from_man_exp(d, e))
+            v = pair_sum(v, (-pm, pe), prec)
+    return v
 
 
 class PolynomialFamily(Enum):

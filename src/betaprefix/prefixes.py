@@ -28,7 +28,8 @@ import numpy as np
 from mpmath import mpf, workprec
 
 from .errors import CapExceeded, InvalidPoint, MemoryGuard
-from .numeric import BetaContext, apply_word
+from .numeric import (BetaContext, apply_word_pair, from_pair, map_pair,
+                      pair_sum, to_pair)
 
 DEFAULT_SURVIVOR_CAP = 10_000_000
 DIRECT_K_CAP = 24
@@ -79,35 +80,37 @@ def enumerate_prefixes_branching(ctx: BetaContext, x, k: int,
     value lies in the tolerance-closed admissible interval.  Words are
     produced in lexicographic order.  Orbit values are refreshed from the
     closed form every 16 levels to stop error accumulation (iterating
-    multiplies the rounding error by beta per level).
+    multiplies the rounding error by beta per level).  Orbit values are
+    ``numeric`` pairs, the children rounded as the mpf ``beta * v`` and
+    ``beta * v - 1`` are under ``workprec``.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    with workprec(ctx.precision_bits):
+    prec = ctx.precision_bits
+    with workprec(prec):
         x = mpf(x)
         _require_in_base_interval(ctx, x)
-        beta = ctx.beta
-        lo, hi = ctx.base.lo_w, ctx.base.hi_w
-        frontier = [("", x)]
-        for level in range(1, k + 1):
-            nxt = []
-            append = nxt.append
-            for w, v in frontier:
-                child = beta * v
-                if lo <= child <= hi:
-                    append((w + "0", child))
-                child -= 1
-                if lo <= child <= hi:
-                    append((w + "1", child))
-            if len(nxt) > survivor_cap:
-                raise MemoryGuard(
-                    f"frontier {len(nxt)} exceeds survivor cap {survivor_cap} "
-                    f"at level {level}")
-            if level % _REFRESH_LEVELS == 0 and level < k:
-                nxt = [(w, apply_word(ctx, w, x)) for w, _ in nxt]
-            frontier = nxt
-        return PrefixSet(k=k, words=tuple(w for w, _ in frontier),
-                         orbit_values={w: v for w, v in frontier})
+    base, xp = ctx.base, to_pair(x, prec)
+    frontier = [("", xp)]
+    for level in range(1, k + 1):
+        nxt = []
+        append = nxt.append
+        for w, v in frontier:
+            child = map_pair(ctx, 0, v)
+            if base.contains_pair(child):
+                append((w + "0", child))
+            child = pair_sum(child, (-1, 0), prec)
+            if base.contains_pair(child):
+                append((w + "1", child))
+        if len(nxt) > survivor_cap:
+            raise MemoryGuard(
+                f"frontier {len(nxt)} exceeds survivor cap {survivor_cap} "
+                f"at level {level}")
+        if level % _REFRESH_LEVELS == 0 and level < k:
+            nxt = [(w, apply_word_pair(ctx, w, xp)) for w, _ in nxt]
+        frontier = nxt
+    return PrefixSet(k=k, words=tuple(w for w, _ in frontier),
+                     orbit_values={w: from_pair(v) for w, v in frontier})
 
 
 def enumerate_prefixes_direct(ctx: BetaContext, x, k: int,

@@ -8,6 +8,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -199,6 +200,31 @@ class TestGenerate:
                                "--tolerance", "0")
         assert code == 2
         assert json.loads(err)["error"] == "CapExceeded"
+
+    def test_zero_blocks_at_m12_builds_no_block_tables(self):
+        # each block table at m = 12 would hold 2^24 words
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "betaprefix", "generate", "omega:12", "1.0", "12", "0"],
+            capture_output=True, text=True, timeout=10)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert "entry_steps=4793" in proc.stdout
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("x, code", [
+        ("35.2367470048277651378279340128325747347283269", 2),  # 1e-36 below
+        ("35.2367470048277651378279340128325746357283269", 0)])  # 1e-34 below
+    def test_points_next_to_the_fixed_point(self, capsys, x, code):
+        # 1/(beta-1) - x against 2 ulp(1/(beta-1))/(beta-1) = 1.3e-35, where
+        # the rounding errors of the descent outgrow its progress
+        got, out, err = run_cli(capsys, "generate", "omega:2", x, "2", "1",
+                                "--tolerance", "0")
+        assert got == code, err
+        if code:
+            assert json.loads(err)["error"] == "InvalidPoint"
+        else:
+            assert "stage 1: 16 words" in out
 
     def test_records(self, capsys):
         code, out, _ = run_cli(capsys, "generate", "1.05", "11.0", "1", "2",

@@ -20,6 +20,7 @@ from betaprefix import (BetaContext, CapExceeded, ContainmentViolation,
                         smallest_root_above_one, polynomial_spec,
                         PolynomialFamily)
 from betaprefix.errors import NoSteeringWord
+from betaprefix.numeric import from_pair, to_pair
 
 
 def _beta_below_omega(m, factor=0.7):
@@ -257,7 +258,7 @@ class TestEntryWords:
             points += [ub - (ub - window.hi_w) * mpf(10) ** -rng.uniform(0, 12)
                        for _ in range(40)]
             for x in points:
-                run, _ = gn._climb(ctx, window, x._mpf_, 10 ** 5)
+                run, _ = gn._climb(ctx, window, to_pair(x, 128), 10 ** 5)
                 assert abs(len(run) - gn._climb_length(ctx, window, x)) <= 1
 
     def test_climb_length_near_one(self):
@@ -267,7 +268,7 @@ class TestEntryWords:
             window = block_steering_interval(ctx, 1).window
             for k in (1, 7, 50):
                 x = window.lo_w * (1 - k * mpf(10) ** -18)
-                run, _ = gn._climb(ctx, window, x._mpf_, 10 ** 5)
+                run, _ = gn._climb(ctx, window, to_pair(x, 128), 10 ** 5)
                 assert 100 * k - 1 <= len(run) <= 100 * k + 1
                 assert abs(len(run) - gn._climb_length(ctx, window, x)) <= 1
 
@@ -419,7 +420,7 @@ class TestExtendBlockS3:
         ctx = BetaContext("1.4")
         iv = pair_steering_interval(ctx)
         with pytest.raises(NoSteeringWord):
-            gn._steer_into(ctx, iv.window, iv.hi * 2, 0)
+            gn._steer_into(ctx, iv.window, to_pair(iv.hi * 2, 128), 0)
 
 
 def _scan_steer(ctx, lo, hi, value, length):
@@ -495,14 +496,15 @@ def _steer_against_scan(ctx, lo, hi, rng):
     with workprec(ctx.precision_bits):
         for length in range(8):
             for value in _steer_values(ctx, lo, hi, length, rng):
+                pair = to_pair(value, ctx.precision_bits)
                 try:
                     want = _scan_steer(ctx, lo, hi, value, length)
                 except NoSteeringWord:
                     with pytest.raises(NoSteeringWord):
-                        gn._steer_into(ctx, window, value, length)
+                        gn._steer_into(ctx, window, pair, length)
                     continue
-                got = gn._steer_into(ctx, window, value, length)
-                assert got[0] == want[0] and got[1] == want[1]
+                got = gn._steer_into(ctx, window, pair, length)
+                assert got[0] == want[0] and from_pair(got[1]) == want[1]
                 if want[1] in (window.lo_w, window.hi_w):
                     seen["on_end"] += 1
                     exact = _exact_landing(ctx, value, want[0])
@@ -562,6 +564,14 @@ class TestGeneratorRuns:
         run = run_generator_m(ctx, 1, 1.0, 0)
         assert run.num_blocks == 0
         assert len(run.stages[0]) == 1
+
+    def test_zero_blocks_build_no_block_tables(self):
+        # a fresh base: any table built for it would be a cache miss
+        ctx = BetaContext(_beta_below_omega(3, 0.4321))
+        before = gn._block_words.cache_info().misses
+        run = run_generator_m(ctx, 3, 1.0, 0)
+        assert run.num_blocks == 0
+        assert gn._block_words.cache_info().misses == before
 
     def test_majority_counts(self):
         ctx = BetaContext(_beta_below_omega(1))
@@ -694,8 +704,9 @@ def test_tolerance_zero_block_from_the_pivot():
 # ------------------------------------------------ mpf-operator reference
 #
 # The orbit loops as they were written with mpf operators under workprec.
-# The library runs the same correctly rounded libmp operations on raw
-# tuples, so every value, word and error must come out bit for bit equal.
+# The library runs them on (mantissa, exponent) pairs, each result rounded
+# once in the same order, so every value, word and error must come out bit
+# for bit equal.
 
 def _ref_climb(ctx, window, v, cap):
     up = v < window.lo_w
@@ -840,10 +851,11 @@ def test_raw_loops_are_bit_identical_to_mpf_operators(precision, tolerance, rng)
         window = ctx.window(ctx.core_lo, ctx.core_hi)
         for orbit in orbits:
             for cap in (1, 3):
-                got = gn._climb(ctx, window, orbit._mpf_, cap)
+                got = gn._climb(ctx, window, to_pair(orbit, precision), cap)
                 with workprec(precision):
                     want = _ref_climb(ctx, window, orbit, cap)
-                assert got == (want and (want[0], want[1]._mpf_))
+                assert ((got and (got[0], from_pair(got[1])._mpf_))
+                        == (want and (want[0], want[1]._mpf_)))
         # whole runs, extremes included
         run_fn = run_generator_m if mode == gn.MODE_MAJORITY else run_generator_s3
         blocks = {gn.MODE_MAJORITY: 3 - m, gn.MODE_STEERED_PAIR: 4}[mode]

@@ -1,8 +1,10 @@
 """Tests for the scalar core: context, maps, polynomials and roots."""
 
+import ast
 import dataclasses
 import hashlib
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from mpmath import frexp, mp, mpf, workprec
 from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, mpf_sub, round_nearest
 
+import betaprefix
 from betaprefix import (BetaContext, NoRootFound, PolynomialFamily,
                         apply_map, apply_word, evaluate_polynomial,
                         golden_ratio, lambda_threshold, omega_threshold,
@@ -19,8 +22,9 @@ from betaprefix import (BetaContext, NoRootFound, PolynomialFamily,
                         smallest_root_above_one)
 from betaprefix.numeric import (ROOT_SEARCH_COUNTS, PolynomialSpec,
                                 _exact_sign, _float_value, _sign_right_of_one,
-                                _sparse, certified_sign,
-                                descartes_bound_above_one, round_nearest_even)
+                                _sparse, certified_sign, compare_pairs,
+                                descartes_bound_above_one, from_pair, map_pair,
+                                pair_sum, round_nearest_even, to_pair)
 
 # Published threshold values (5 decimal places); the last-digit unit
 # tolerance absorbs the publication rounding.
@@ -107,12 +111,18 @@ class TestWindow:
 
     @pytest.mark.parametrize("precision", [53, 128])
     @pytest.mark.parametrize("tolerance", [0, None])
-    def test_contains_raw_is_contains(self, precision, tolerance):
+    def test_contains_pair_is_contains(self, precision, tolerance):
+        # one ulp either side of each widened end, 0 and values 2^-10^6
+        # away from it, each also with a mantissa carrying trailing zeros
         ctx = BetaContext("1.3", precision_bits=precision,
                           comparison_tolerance=tolerance)
-        win = ctx.window(ctx.core_lo, ctx.core_hi)
-        for x in (*_around(win.lo_w, precision), *_around(win.hi_w, precision)):
-            assert win.contains_raw(x._mpf_) == win.contains(x)
+        tiny = mpf(2) ** -10 ** 6
+        for win in (ctx.window(ctx.core_lo, ctx.core_hi), ctx.base):
+            for x in (*_around(win.lo_w, precision), *_around(win.hi_w, precision),
+                      mpf(0), tiny, -tiny):
+                d, e = to_pair(x, precision + 8)
+                for pair in ((d, e), (d << 7, e - 7)):
+                    assert win.contains_pair(pair) == win.contains(x)
 
     @pytest.mark.parametrize("tolerance", [0, None])
     def test_base_is_the_admissible_window(self, tolerance):
@@ -279,6 +289,92 @@ class TestRoundNearestEven:
             d = rng.getrandbits(prec)
             assert round_nearest_even(d, -5, prec) == (d, -5)
             assert round_nearest_even(-d, 9, prec) == (-d, 9)
+
+
+def _is_tie(z, prec):
+    """Whether the integer z lies exactly half an ulp between two
+    ``prec``-bit neighbours."""
+    n = abs(z).bit_length() - prec
+    return n > 0 and abs(z) % (1 << n) == 1 << (n - 1)
+
+
+class TestMapPair:
+    @pytest.mark.parametrize("prec", _PRECISIONS)
+    def test_equals_operators_on_random_operands(self, rng, prec):
+        for _ in range(40):
+            ctx = BetaContext(rng.uniform(1.001, 1.999), prec)
+            ub = ctx.one_over_beta_minus_one
+            for _ in range(20):
+                with workprec(prec):
+                    v = ub * mpf(rng.random())
+                for digit in (0, 1):
+                    with workprec(prec):
+                        want = ctx.beta * v - digit
+                    got = map_pair(ctx, digit, to_pair(v, prec))
+                    assert from_pair(got)._mpf_ == want._mpf_
+
+    @pytest.mark.parametrize("prec", _PRECISIONS)
+    def test_half_ulp_ties(self, rng, prec):
+        # at beta = 1.5 the product 3 d 2^(e-1) of a full mantissa d carries
+        # one or two bits past the precision, so about a third of the
+        # products are ties; 1.5 v - 1 is a tie for v = k 2^-prec, k odd
+        ctx = BetaContext("1.5", prec)
+        operands = [(rng.getrandbits(prec) | 1 << (prec - 1), rng.randint(-prec - 6, 0))
+                    for _ in range(300)]
+        operands += [(2 * j + 1, -prec) for j in range(8)]
+        ties = [0, 0]
+        for d, e in operands:
+            for digit in (0, 1):
+                with workprec(prec):
+                    want = ctx.beta * from_pair((d, e)) - digit
+                assert from_pair(map_pair(ctx, digit, (d, e)))._mpf_ == want._mpf_
+            ties[0] += _is_tie(3 * d, prec)
+            pd, pe = round_nearest_even(3 * d, e - 1, prec)
+            ties[1] += pe < 0 and _is_tie(pd - (1 << -pe), prec)
+        assert ties[0] > 50 and ties[1] >= 8
+
+
+class TestPairArithmetic:
+    @pytest.mark.parametrize("prec", _PRECISIONS)
+    def test_far_apart_operands(self, rng, prec):
+        # gaps up to twice the precision, where the sum stops shifting the
+        # smaller operand, and far past it; a short mantissa such as -1's
+        # leaves room for a finer operand to count
+        for gap in (prec, prec + 1, 2 * prec - 1, 2 * prec, 2 * prec + 1,
+                    2 * prec + 2, 2 * prec + 3, 10 ** 6):
+            for _ in range(40):
+                a = _signed(_operand(rng, rng.choice([1, 2, prec]), 0))
+                b = _signed(_operand(rng, rng.randint(1, prec), -gap))
+                for x, y in ((a, b), (b, a), (a, (0, -gap)), ((0, 0), b)):
+                    got = from_pair(pair_sum(x, y, prec))
+                    with workprec(prec):
+                        assert got == from_pair(x) + from_pair(y)
+                    with workprec(2 * gap + 2 * prec):
+                        exact = from_pair(x) - from_pair(y)
+                    sign = compare_pairs(x, y)
+                    assert (sign > 0) - (sign < 0) == (exact > 0) - (exact < 0)
+        # the carry mantissa 2^prec, one bit longer than the precision
+        top = round_nearest_even((1 << (prec + 1)) - 1, 0, prec)
+        with workprec(prec):
+            assert (from_pair(pair_sum(top, (-1, -2 * prec - 3), prec))
+                    == from_pair(top) - from_pair((1, -2 * prec - 3)))
+
+
+def test_no_module_uses_a_second_arithmetic():
+    # every orbit loop runs on the pairs above; libmp's operations on raw
+    # tuples are a second arithmetic with the same values, kept out
+    banned = {"mpf_add", "mpf_sub", "mpf_mul", "mpf_cmp", "fone"}
+    found = []
+    for path in sorted(pathlib.Path(betaprefix.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            found += [(path.name, name) for name in sorted(names & banned)]
+    assert found == []
 
 
 def _operator_apply_word(ctx, word, x):

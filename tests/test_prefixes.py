@@ -10,6 +10,7 @@ import math
 import pytest
 from mpmath import mpf, workprec
 
+import betaprefix.prefixes as pf
 from betaprefix import (BetaContext, CapExceeded, InvalidPoint, MemoryGuard,
                         apply_word, count_prefixes_window,
                         enumerate_prefixes_branching, enumerate_prefixes_direct,
@@ -206,3 +207,60 @@ class TestGrowth:
             growth_estimate(ctx15, 1, 10, 9)
         with pytest.raises(MemoryGuard):
             growth_estimate(ctx15, 1, 8, 60)
+
+
+# ------------------------------------------------ mpf-operator reference
+#
+# The branching enumeration as it was written with mpf operators under
+# workprec.  The library runs it on (mantissa, exponent) pairs, each result
+# rounded once in the same order, so words and orbit values must come out
+# bit for bit equal.
+
+def _ref_apply_word(ctx, word, x):
+    acc = ctx.power(len(word)) * x
+    for n, ch in enumerate(word, start=1):
+        if ch == "1":
+            acc -= ctx.power(len(word) - n)
+    return acc
+
+
+def _ref_branching(ctx, x, k):
+    with workprec(ctx.precision_bits):
+        x = mpf(x)
+        lo, hi = ctx.base.lo_w, ctx.base.hi_w
+        frontier = [("", x)]
+        for level in range(1, k + 1):
+            nxt = []
+            for w, v in frontier:
+                child = ctx.beta * v
+                if lo <= child <= hi:
+                    nxt.append((w + "0", child))
+                child -= 1
+                if lo <= child <= hi:
+                    nxt.append((w + "1", child))
+            if level % pf._REFRESH_LEVELS == 0 and level < k:
+                nxt = [(w, _ref_apply_word(ctx, w, x)) for w, _ in nxt]
+            frontier = nxt
+    return [(w, v._mpf_) for w, v in frontier]
+
+
+@pytest.mark.parametrize("precision", [53, 96, 128, 200])
+@pytest.mark.parametrize("tolerance", [0, None, "1e-30"])
+def test_branching_is_bit_identical_to_mpf_operators(precision, tolerance, rng):
+    # k = 40 refreshes at levels 16 and 32, k = 32 only at 16; the
+    # endpoints and the core put orbit values on the window's ends
+    words = 0
+    for beta in ("1.7", "1.93"):
+        ctx = BetaContext(beta, precision_bits=precision,
+                          comparison_tolerance=tolerance)
+        ub = ctx.one_over_beta_minus_one
+        with workprec(precision):
+            points = [mpf(0), ub, ctx.core_lo, ctx.core_hi]
+            points += [ub * mpf(rng.random()) for _ in range(3)]
+        for x in points:
+            for k in (32, 40):
+                ps = enumerate_prefixes_branching(ctx, x, k)
+                got = [(w, ps.orbit_values[w]._mpf_) for w in ps.words]
+                assert got == _ref_branching(ctx, x, k)
+                words += len(got)
+    assert words > 1000
