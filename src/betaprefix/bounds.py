@@ -21,8 +21,9 @@ import numpy as np
 from mpmath import mp, workprec
 
 from .errors import CapExceeded, OutOfDomain
-from .numeric import (BetaContext, _sparse, below_golden_ratio, certified_sign,
-                      golden_ratio, lambda_threshold, omega_threshold)
+from .numeric import (BetaContext, _sparse, at_most_threshold, below_golden_ratio,
+                      certified_sign, golden_ratio, lambda_threshold,
+                      omega_threshold)
 from .prefixes import _digit_sums
 
 DEFAULT_M_MAX = 64
@@ -119,15 +120,13 @@ def _walk_thresholds(ctx: BetaContext, m_max: int) -> tuple:
         kappa = kappa_lower_bound(ctx)
     omega_pick = None
     for m in range(1, m_max + 1):
-        threshold = omega_threshold(m)
-        if beta > threshold:
+        if not at_most_threshold(beta, "omega", m):
             break  # thresholds decrease; no larger m can qualify
-        omega_pick = (m, threshold)
+        omega_pick = (m, omega_threshold(m))
     lambda_pick = None
     for m in range(1, m_max + 1):
-        threshold = lambda_threshold(m)
-        if beta <= threshold:
-            lambda_pick = (m, threshold)
+        if at_most_threshold(beta, "lambda", m):
+            lambda_pick = (m, lambda_threshold(m))
             break  # thresholds increase; the first hit is the best bound
     return omega_pick, lambda_pick, kappa
 

@@ -15,6 +15,8 @@ extension's orbit lands back inside it:
 
 Orbit containment is asserted for every extension; a violation falsifies
 the defining polynomial inequality for the given beta and aborts loudly.
+Both domain checks, beta <= omega_m and beta <= lambda_m, are exact
+(``numeric.at_most_threshold``).
 
 The generator tables (the validated steering intervals with their
 containment windows, the pair-mode check for each m, the block words with
@@ -25,11 +27,16 @@ builds its extension function, not once per parent.
 
 Every orbit loop (the forced climb, the block landings, the branch digit,
 the steering, the stage extremes and the entry search) runs on the pairs of
-``numeric``; values become mpf only where a stage stores them.
+``numeric``, and a run's stages and extremes keep those pairs: records print
+them as they are, and values become mpf only at the public
+:func:`extend_block_m` and :func:`extend_block_s3` and through
+:meth:`GeneratorRun.stage_values`.
 
 A word of length L acts on an orbit value v as beta^L * v + q.  One
 builder, :func:`_offset_table`, keeps the offsets q of a list of words
-exactly, as Python ints at one common binary exponent.  Rounding
+exactly, as Python ints at one common binary exponent; it takes the words
+in lexicographic order, where ``apply_word_pair`` resumes from the prefix
+each shares with the one before.  Rounding
 ``beta^L * v + q`` is monotone in q, so the steering words that land in the
 widened interval form one run of the offset-sorted table, and the
 lexicographically smallest word of the run is the one a lexicographic scan
@@ -54,9 +61,9 @@ from mpmath import mp, mpf, workprec
 from .errors import (CapExceeded, ContainmentViolation, InvalidPoint,
                      MemoryGuard, NoSteeringWord, OutOfDomain, Unreachable)
 from .numeric import (BetaContext, Window, apply_word, apply_word_pair,
-                      below_golden_ratio, compare_pairs, from_pair,
-                      lambda_threshold, map_pair, omega_threshold, pair_product,
-                      pair_sum, round_nearest_even, to_pair)
+                      at_most_threshold, below_golden_ratio, compare_pairs,
+                      from_pair, lambda_threshold, map_pair, omega_threshold,
+                      pair_product, pair_sum, round_nearest_even, to_pair)
 from .prefixes import DEFAULT_SURVIVOR_CAP
 
 _ENTRY_DFS_BUDGET = 2_000_000
@@ -113,7 +120,7 @@ def block_steering_interval(ctx: BetaContext, m: int) -> BlockSteeringInterval:
     the pivot lands exactly on lo.  Requires beta <= omega threshold of m;
     then 0 <= lo < pivot < hi <= 1/(beta-1).
     """
-    if ctx.beta > omega_threshold(m):
+    if not at_most_threshold(ctx.beta, "omega", m):
         raise OutOfDomain(
             f"majority-block mode needs beta <= omega_{m} = "
             f"{omega_threshold(m)}, got {ctx.beta}")
@@ -296,7 +303,7 @@ def entry_word_s3(ctx: BetaContext, m: int, x):
 @_per_base
 def _require_pair_mode(ctx: BetaContext, m: int) -> None:
     """Raise unless beta <= lambda_m."""
-    if ctx.beta > lambda_threshold(m):
+    if not at_most_threshold(ctx.beta, "lambda", m):
         raise OutOfDomain(
             f"steered-pair mode needs beta <= lambda_{m} = "
             f"{lambda_threshold(m)}, got {ctx.beta}")
@@ -333,15 +340,17 @@ def _block_words(ctx: BetaContext, length: int, heavy: str) -> tuple:
 
 
 def _block_extender(ctx: BetaContext, m: int):
-    """``extend(prefix_word, orbit)`` for majority mode: the blocks of
-    :func:`extend_block_m` with the pairs of the least and greatest landing
-    value.  The steering interval and both block tables are looked up once,
-    here.
+    """``extend(prefix_word, o)`` for majority mode, from the orbit pair o:
+    the blocks of :func:`extend_block_m` and their landings as pairs, in two
+    lists, and the pairs of the least and greatest landing.  The steering
+    interval and both block tables are looked up once, here.
 
-    Rounding keeps ``base + q`` monotone in q, so those are the landings of
-    a least and a greatest offset, and every block lands inside the window
-    when these two do; otherwise the first block in word order that leaves
-    it is named."""
+    Every landing is ``base + q`` rounded once, base being beta^(2m+1) * o
+    rounded once; the rounding of :func:`round_nearest_even` runs inline
+    over the offset list.  Rounding keeps ``base + q`` monotone in q, so the
+    extremes are the landings of a least and a greatest offset, and every
+    block lands inside the window when these two do; otherwise the first
+    block in word order that leaves it is named."""
     iv = block_steering_interval(ctx, m)
     prec = ctx.precision_bits
     window, pivot = iv.window, to_pair(iv.pivot, prec)
@@ -349,8 +358,7 @@ def _block_extender(ctx: BetaContext, m: int):
     scale = ctx.int_powers(length)[length]
     tables = {heavy: _block_words(ctx, length, heavy) for heavy in "01"}
 
-    def extend(prefix_word: str, orbit):
-        o = to_pair(orbit, prec)
+    def extend(prefix_word: str, o):
         if not window.contains_pair(o):
             with workprec(prec):
                 raise InvalidPoint(
@@ -361,7 +369,14 @@ def _block_extender(ctx: BetaContext, m: int):
         c = min(be, exp)  # base + q is exact at 2^c
         bd <<= be - c
         shift = exp - c
-        landings = [round_nearest_even((q << shift) + bd, c, prec) for q in offsets]
+        landings = []
+        for q in offsets:
+            d = (q << shift) + bd
+            n = d.bit_length() - prec
+            if n > 0 and d > 0:
+                landings.append(((d + (1 << (n - 1)) - 1 + (d >> n & 1)) >> n, c + n))
+            else:
+                landings.append(round_nearest_even(d, c, prec))
         least, greatest = landings[i_min], landings[i_max]
         if not (window.contains_pair(least) and window.contains_pair(greatest)):
             block, v = next((b, v) for b, v in zip(words, landings)
@@ -371,7 +386,7 @@ def _block_extender(ctx: BetaContext, m: int):
                     f"block {block} (after {prefix_word!r}) leaves the steering "
                     f"interval: value {from_pair(v)} not in [{iv.lo}, {iv.hi}] "
                     f"at beta={ctx.beta}")
-        return list(zip(words, map(from_pair, landings))), (least, greatest)
+        return words, landings, (least, greatest)
     return extend
 
 
@@ -386,7 +401,9 @@ def extend_block_m(ctx: BetaContext, m: int, prefix_word: str, orbit):
     ContainmentViolation, since it falsifies the block-return inequality
     for this beta.
     """
-    return _block_extender(ctx, m)(prefix_word, orbit)[0]
+    words, landings, _ = _block_extender(ctx, m)(
+        prefix_word, to_pair(orbit, ctx.precision_bits))
+    return [(w, from_pair(v)) for w, v in zip(words, landings)]
 
 
 @_per_base
@@ -450,18 +467,20 @@ def _steer_into(ctx: BetaContext, target: Window, value, length: int,
 
 
 def _pair_extender(ctx: BetaContext, m: int):
-    """``extend(prefix_word, orbit)`` for steered-pair mode: the pair of
-    :func:`extend_block_s3` with the pairs of the least and greatest
-    landing value.  The pair-mode check, the steering interval and each
-    steering table are looked up once, here (a table when its length is
-    first needed)."""
+    """``extend(prefix_word, o)`` for steered-pair mode, from the orbit pair
+    o: the two extensions of :func:`extend_block_s3` and their landings as
+    pairs, in two tuples, and the pairs of the least and greatest landing.
+    The pair-mode check, the steering interval and each steering table are
+    looked up once, here (a table when its length is first needed).  The
+    branch digits share the product beta * v, rounded once, which
+    :func:`map_pair` would compute for each."""
     _require_pair_mode(ctx, m)
     iv = pair_steering_interval(ctx)
     prec = ctx.precision_bits
+    beta = ctx.int_powers(1)[1]
     tables = [None] * (m + 2)  # steering table per length
 
-    def extend(prefix_word: str, orbit):
-        o = to_pair(orbit, prec)
+    def extend(prefix_word: str, o):
         if not iv.window.contains_pair(o):
             with workprec(prec):
                 raise InvalidPoint(
@@ -477,19 +496,21 @@ def _pair_extender(ctx: BetaContext, m: int):
         steer_len = m + 1 - len(forced)
         if steer_len and tables[steer_len] is None:
             tables[steer_len] = _steering_table(ctx, steer_len)
-        out, ends = [], []
+        words, landings = [], []
+        vb = pair_product(beta, v, prec)
         for digit in (0, 1):
-            vb = map_pair(ctx, digit, v)
+            if digit:
+                vb = pair_sum(vb, (-1, 0), prec)
             if not ctx.base.contains_pair(vb):
                 with workprec(prec):
                     raise ContainmentViolation(
                         f"branch digit {digit} leaves the admissible interval from "
                         f"core value {from_pair(v)} at beta={ctx.beta}")
             steer, vf = _steer_into(ctx, iv.window, vb, steer_len, tables[steer_len])
-            out.append((forced + "01"[digit] + steer, from_pair(vf)))
-            ends.append(vf)
-        v0, v1 = ends
-        return tuple(out), ((v0, v1) if compare_pairs(v0, v1) <= 0 else (v1, v0))
+            words.append(forced + "01"[digit] + steer)
+            landings.append(vf)
+        v0, v1 = landings
+        return words, landings, ((v0, v1) if compare_pairs(v0, v1) <= 0 else (v1, v0))
     return extend
 
 
@@ -505,7 +526,9 @@ def extend_block_s3(ctx: BetaContext, m: int, prefix_word: str, orbit):
     interval.  Returns a pair of (word, final_orbit) tuples, which differ
     at the branch position.
     """
-    return _pair_extender(ctx, m)(prefix_word, orbit)[0]
+    words, landings, _ = _pair_extender(ctx, m)(
+        prefix_word, to_pair(orbit, ctx.precision_bits))
+    return tuple((w, from_pair(v)) for w, v in zip(words, landings))
 
 
 @dataclass(frozen=True)
@@ -514,7 +537,9 @@ class GeneratorRun:
     block.  Stage s holds 2^(2ms) words (majority mode) or 2^s words
     (steered-pair mode) of length entry_steps + s * block_length, each with
     its orbit value inside the steering interval, and ``extremes[s]`` is
-    the least and the greatest orbit value of stage s."""
+    the least and the greatest orbit value of stage s.  Orbit values are
+    ``numeric`` pairs (d, e), the value d * 2^e; :meth:`stage_values` gives
+    them as mpf.  ``x`` is the starting point as an mpf."""
 
     mode: str
     m: int
@@ -522,8 +547,8 @@ class GeneratorRun:
     entry_word: str
     entry_steps: int
     block_length: int
-    stages: tuple  # tuple of tuples of (word, orbit_value)
-    extremes: tuple  # tuple of (least, greatest) orbit value per stage
+    stages: tuple  # tuple of tuples of (word, orbit pair)
+    extremes: tuple  # tuple of (least, greatest) orbit pair per stage
 
     @property
     def num_blocks(self) -> int:
@@ -531,6 +556,11 @@ class GeneratorRun:
 
     def stage_words(self, s: int) -> tuple:
         return tuple(w for w, _ in self.stages[s])
+
+    def stage_values(self, s: int) -> tuple:
+        """Stage s as (word, orbit value) with each value the mpf of its
+        pair, exactly."""
+        return tuple((w, from_pair(v)) for w, v in self.stages[s])
 
     def descendant_count(self, s_from: int, word: str, s_to: int) -> int:
         """Number of stage-s_to words extending ``word`` from stage s_from."""
@@ -559,7 +589,7 @@ def _run_generator(ctx: BetaContext, mode: str, m: int, x, num_blocks: int,
         block_length, extender = m + 2, _pair_extender
     with workprec(ctx.precision_bits):
         x = mpf(x)
-        v0 = apply_word(ctx, entry, x)
+    v0 = apply_word_pair(ctx, entry, to_pair(x, ctx.precision_bits))
     stages = [((entry, v0),)]
     extremes = [(v0, v0)]
     if num_blocks:  # a run with no blocks builds no block tables
@@ -570,8 +600,8 @@ def _run_generator(ctx: BetaContext, mode: str, m: int, x, num_blocks: int,
         nxt = []
         least = greatest = None
         for w, v in stages[-1]:
-            blocks, (lo, hi) = extend(w, v)
-            nxt.extend((w + block, nv) for block, nv in blocks)
+            blocks, landings, (lo, hi) = extend(w, v)
+            nxt += zip(map(w.__add__, blocks), landings)
             if least is None or compare_pairs(lo, least) < 0:
                 least = lo
             if greatest is None or compare_pairs(hi, greatest) > 0:
@@ -581,7 +611,7 @@ def _run_generator(ctx: BetaContext, mode: str, m: int, x, num_blocks: int,
             raise ContainmentViolation(
                 f"stage {s} produced {len(nxt)} words, expected {expected}")
         stages.append(tuple(nxt))
-        extremes.append((from_pair(least), from_pair(greatest)))
+        extremes.append((least, greatest))
     return GeneratorRun(mode=mode, m=m, x=x, entry_word=entry,
                         entry_steps=steps, block_length=block_length,
                         stages=tuple(stages), extremes=tuple(extremes))

@@ -20,7 +20,15 @@ Every orbit loop runs on one arithmetic: a value ``d * 2^e`` is the pair
 ``(d, e)`` of Python ints (:func:`to_pair`), sums and products are exact
 integer operations that :func:`round_nearest_even` rounds once each, as the
 mpf operators under ``workprec`` would, and :func:`compare_pairs` and
-:meth:`Window.contains_pair` compare exactly.
+:meth:`Window.contains_pair` compare exactly.  :func:`apply_word_pair`
+keeps the partial sums of its last call on the context and resumes from the
+longest prefix that the next word of the same length, from the same point,
+shares with it.
+
+Whether a base is at most the omega or lambda threshold for m is decided
+exactly as well (:func:`at_most_threshold`): the cached threshold, a
+bracket's lower end, filters, and a base inside the bracket takes the signs
+of the family members at it.
 """
 
 from __future__ import annotations
@@ -98,18 +106,17 @@ def round_nearest_even(d: int, e: int, precision_bits: int) -> tuple:
     (d', e') with |d'| <= 2^precision_bits; an exact value comes back
     unchanged.  Correct rounding is unique, so rounding the exact result of
     a sum or product gives the value the mpf operator gives on operands of
-    at most ``precision_bits`` bits under ``workprec(precision_bits)``."""
+    at most ``precision_bits`` bits under ``workprec(precision_bits)``.
+
+    With n bits to drop, ``(d + 2^(n-1) - 1 + q0) >> n`` for the low kept
+    bit q0 rounds up past half, and at exactly half only an odd quotient."""
     n = d.bit_length() - precision_bits  # bit_length ignores the sign
     if n <= 0:
         return d, e
     if d < 0:  # nearest-even is symmetric
         q, e = round_nearest_even(-d, e, precision_bits)
         return -q, e
-    q = d >> n
-    # round up past half, or at exactly half to an even q
-    if d >> (n - 1) & 1 and (q & 1 or d & ((1 << (n - 1)) - 1)):
-        q += 1
-    return q, e + n
+    return (d + (1 << (n - 1)) - 1 + (d >> n & 1)) >> n, e + n
 
 
 def pair_product(a, b, precision_bits: int) -> tuple:
@@ -156,7 +163,9 @@ class BetaContext:
     whose ends are widened by ``comparison_tolerance`` so that
     closed-interval statements are not rejected through rounding.
     Contexts are values, equal and hashed alike when ``(beta,
-    precision_bits, comparison_tolerance)`` agree; do not mutate one.
+    precision_bits, comparison_tolerance)`` agree; do not mutate one.  The
+    powers of beta, grown on demand, and the last :func:`apply_word_pair`
+    call are kept on the context and change no value it gives.
     """
 
     def __init__(self, beta, precision_bits: int = DEFAULT_PRECISION_BITS,
@@ -182,6 +191,7 @@ class BetaContext:
             self.core_hi = b / (b * b - 1)
         self.base = self.window(0, self.one_over_beta_minus_one)
         self._powers = [(1, 0), to_pair(b, self.precision_bits)]  # grown on demand
+        self._last_word = None  # apply_word_pair's last call
         self._key = (b._mpf_, self.precision_bits, self.comparison_tolerance._mpf_)
 
     def __eq__(self, other):
@@ -269,16 +279,38 @@ def map_pair(ctx: BetaContext, digit: int, v) -> tuple:
 
 
 def apply_word_pair(ctx: BetaContext, word: str, v) -> tuple:
-    """:func:`apply_word` from the pair v to a pair, for a word over 0/1."""
+    """:func:`apply_word` from the pair v to a pair, for a word over 0/1.
+
+    The partial sum after n digits depends on the first n digits only.  The
+    context keeps its last call as one tuple (length, start pair, word as
+    an int, the partial sums after 0..length digits), replaced whole, so a
+    call on another thread can only find it stale and miss.  A call with
+    the length and start pair of the last one resumes from the partial sum
+    of the longest prefix its word shares with that call's word, and
+    rounds only the subtractions after it, in the same order: the result
+    is the one a fresh evaluation gives.  The callers ask for many words of
+    one length from one point in lexicographic order (the offset tables,
+    the branching refresh, checks of a stage), where neighbours share all
+    but their last few digits."""
     k = len(word)
     prec = ctx.precision_bits
     powers = ctx.int_powers(k)
-    v = pair_product(powers[k], v, prec)
-    for n, ch in enumerate(word, start=1):
-        if ch == "1":
+    bits = int(word, 2) if k else 0
+    last = ctx._last_word
+    if last is not None and last[0] == k and last[1] == v:
+        p = k - (bits ^ last[2]).bit_length()  # digits shared with the last word
+        sums = list(last[3][:p + 1])
+    else:
+        p = 0
+        sums = [pair_product(powers[k], v, prec)]
+    acc = sums[p]
+    for n in range(p + 1, k + 1):
+        if word[n - 1] == "1":
             pm, pe = powers[k - n]
-            v = pair_sum(v, (-pm, pe), prec)
-    return v
+            acc = pair_sum(acc, (-pm, pe), prec)
+        sums.append(acc)
+    ctx._last_word = (k, v, bits, tuple(sums))
+    return acc
 
 
 class PolynomialFamily(Enum):
@@ -365,11 +397,14 @@ class RootSearchCounts:
 
     ``evaluations``: every sign asked for.  ``float_signs``: signs the
     float64 tier decided.  ``exact_signs``: signs that neither floating
-    tier could certify and that :func:`_exact_sign` settled instead."""
+    tier could certify and that :func:`_exact_sign` settled instead.
+    ``threshold_signs``: bases that :func:`at_most_threshold` found inside
+    a threshold's root bracket and decided by sign."""
 
     evaluations: int = 0
     float_signs: int = 0
     exact_signs: int = 0
+    threshold_signs: int = 0
 
 
 ROOT_SEARCH_COUNTS = RootSearchCounts()
@@ -631,16 +666,18 @@ def smallest_root_above_one(spec: PolynomialSpec, abs_tol: float = DEFAULT_ROOT_
         return lo
 
 
+_FAMILIES = {"omega": (PolynomialFamily.OMEGA_1, PolynomialFamily.OMEGA_2,
+                       PolynomialFamily.OMEGA_3),
+             "lambda": (PolynomialFamily.LAMBDA,)}
+
+
 @functools.lru_cache(maxsize=4096)
 def _checked_threshold(sequence: str, m: int, abs_tol: float):
     """The ``"omega"`` or ``"lambda"`` threshold for m: the smallest root
     above 1 of the sequence's family polynomials, range-checked once.  A
     failed check raises, so it is never cached and fails on every call."""
-    families = ((PolynomialFamily.LAMBDA,) if sequence == "lambda" else
-                (PolynomialFamily.OMEGA_1, PolynomialFamily.OMEGA_2,
-                 PolynomialFamily.OMEGA_3))
     r = min(smallest_root_above_one(polynomial_spec(f, m), abs_tol)
-            for f in families)
+            for f in _FAMILIES[sequence])
     if sequence == "lambda":
         with workprec(160):
             if not (1 < r < golden_ratio(160) + mpf(abs_tol)):
@@ -649,6 +686,42 @@ def _checked_threshold(sequence: str, m: int, abs_tol: float):
     if not (1 < r < 2):
         raise NoRootFound(f"omega threshold for m={m} outside (1,2)")
     return r
+
+
+@functools.lru_cache(maxsize=4096)
+def _threshold_band(sequence: str, m: int) -> tuple:
+    """(lower, top) as pairs: the cached threshold, the lower end of a root
+    bracket of width at most ``DEFAULT_ROOT_TOL`` below the true threshold,
+    and a value more than that width above it (twice the width, at 160
+    bits, so that rounding the sum cannot bring it below the bracket's
+    upper end)."""
+    lower = _checked_threshold(sequence, m, DEFAULT_ROOT_TOL)
+    with workprec(160):
+        top = lower + 2 * mpf(DEFAULT_ROOT_TOL)
+    return to_pair(lower, 160), to_pair(top, 160)
+
+
+def at_most_threshold(beta, sequence: str, m: int) -> bool:
+    """Whether the mpf beta > 1 is at most the ``"omega"`` or ``"lambda"``
+    threshold for m, exactly.
+
+    A beta above the band of :func:`_threshold_band` is outside, and one at
+    or below the cached threshold inside; both comparisons are exact, on
+    pairs.  In between the sign decides, counted in
+    ``ROOT_SEARCH_COUNTS.threshold_signs``: every family member has one
+    root above 1 (:func:`descartes_bound_above_one`) and is negative
+    between 1 and it, so beta is at most the threshold exactly when each of
+    the sequence's members is at most 0 at beta (:func:`certified_sign`)."""
+    _require_index(m)
+    lower, top = _threshold_band(sequence, m)
+    _, man, exp, _ = beta._mpf_  # beta > 1: the pair (man, exp), exactly
+    if compare_pairs((man, exp), top) > 0:
+        return False
+    if compare_pairs((man, exp), lower) <= 0:
+        return True
+    ROOT_SEARCH_COUNTS.threshold_signs += 1
+    return all(certified_sign(polynomial_spec(f, m).coefficients, beta) <= 0
+               for f in _FAMILIES[sequence])
 
 
 def omega_threshold(m: int, abs_tol: float = DEFAULT_ROOT_TOL):

@@ -176,11 +176,12 @@ def test_criterion_03_generator_count_law(capsys, generator_runs):
             for s, stage in enumerate(run.stages):
                 if len(stage) != 2 ** (2 * m * s):
                     violations += 1
-                for w, v in stage:
+                for w, v in run.stage_values(s):
                     if not ctx.window(iv.lo, iv.hi).contains(v):
                         violations += 1
             # independent closed-form re-evaluation on a word sample
-            sample = run.stages[-1][::max(1, len(run.stages[-1]) // 64)]
+            final = run.stage_values(run.num_blocks)
+            sample = final[::max(1, len(final) // 64)]
             for w, v in sample:
                 exact = apply_word(ctx, w, mpf(x))
                 if not ctx.window(iv.lo, iv.hi).contains(exact):
@@ -200,7 +201,7 @@ def test_criterion_03_generator_count_law(capsys, generator_runs):
             for s, stage in enumerate(run.stages):
                 if len(stage) != 2 ** s:
                     violations += 1
-                for w, v in stage:
+                for w, v in run.stage_values(s):
                     if not ctx.window(iv.lo, iv.hi).contains(v):
                         violations += 1
                     exact = apply_word(ctx, w, mpf(x))

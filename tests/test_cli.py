@@ -164,6 +164,20 @@ class TestGenerate:
         assert code == 2
         assert json.loads(err)["error"] == "OutOfDomain"
 
+    # lambda_1 is the plastic number 1.3247179572447460...; these bases lie
+    # between the cached lower end of its bracket, 1.32471795658929..., and
+    # it, or just above it
+    @pytest.mark.parametrize("base, code", [("1.3247179569170202332", 0),
+                                            ("1.3247179572447460", 0),
+                                            ("1.3247179572447461", 2)])
+    def test_bases_next_to_lambda_1(self, capsys, base, code):
+        got, out, err = run_cli(capsys, "generate", base, "1.0", "1", "2", "--mode", "s3")
+        assert got == code, err
+        if code:
+            assert json.loads(err)["error"] == "OutOfDomain"
+        else:
+            assert "stage 2: 4 words" in out
+
     @pytest.mark.parametrize("base, m", [("1.05", "1"), ("omega:2", "2"),
                                          ("1.02", "1")])
     def test_tolerance_zero(self, capsys, base, m):
@@ -277,6 +291,14 @@ class TestBounds:
         head = json.loads(out.splitlines()[0])
         assert head["omega_bound_m"] == 1
         assert head["best_lower"] == pytest.approx(2 / 3)
+
+    def test_base_just_below_lambda_1_takes_the_m1_bound(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "1.3247179569170202332",
+                                 "--format", "records")
+        assert code == 0, err
+        head = json.loads(out.splitlines()[0])
+        assert head["lambda_bound_m"] == 1
+        assert head["lambda_bound"] == head["best_lower"] == pytest.approx(1 / 3)
 
     def test_golden_ratio_at_128_bits_has_kappa(self, capsys):
         # the base rounds below the golden ratio, so kappa applies

@@ -9,6 +9,8 @@ from mpmath import frexp, mp, mpf, workprec
 from mpmath.libmp import from_man_exp, mpf_add
 
 import betaprefix.generators as gn
+import betaprefix.numeric as numeric
+import betaprefix.records as records
 from betaprefix import (BetaContext, CapExceeded, ContainmentViolation,
                         InvalidPoint, MemoryGuard, OutOfDomain, apply_map, apply_word,
                         block_steering_interval, entry_word_m, entry_word_s3,
@@ -350,8 +352,8 @@ class TestExtendBlockM:
         # push the validity gate past the true root; the landing check must
         # then catch the broken inequality loudly
         true_root = float(omega_threshold(1))
-        monkeypatch.setattr(gn, "omega_threshold",
-                            lambda m, abs_tol=1e-9: mpf(true_root + 1e-3))
+        monkeypatch.setattr(gn, "at_most_threshold",
+                            lambda beta, sequence, m: beta <= true_root + 1e-3)
         ctx = BetaContext(true_root + 5e-4)
         iv = gn.block_steering_interval(ctx, 1)
         with pytest.raises(ContainmentViolation):
@@ -400,8 +402,8 @@ class TestExtendBlockS3:
         # needs more than m+1 steps, which must abort loudly
         m = 2
         true_root = float(lambda_threshold(m))
-        monkeypatch.setattr(gn, "lambda_threshold",
-                            lambda mm, abs_tol=1e-9: mpf(true_root + 0.02))
+        monkeypatch.setattr(gn, "at_most_threshold",
+                            lambda beta, sequence, mm: beta <= true_root + 0.02)
         ctx = BetaContext(true_root + 0.01)
         iv = gn.pair_steering_interval(ctx)
         with pytest.raises(ContainmentViolation):
@@ -573,6 +575,35 @@ class TestGeneratorRuns:
         assert run.num_blocks == 0
         assert gn._block_words.cache_info().misses == before
 
+    @pytest.mark.parametrize("mode", [gn.MODE_MAJORITY, gn.MODE_STEERED_PAIR])
+    def test_stages_make_no_mpf_round_trip(self, monkeypatch, mode):
+        # stages carry pairs from the kernel to the printed line: the
+        # conversions between pairs and mpf do not grow with the stages
+        calls = {"from_pair": 0, "to_pair": 0, "to_raw": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for module in (numeric, gn, records):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        if mode == gn.MODE_MAJORITY:
+            ctx, run_fn, blocks = BetaContext(omega_threshold(1)), run_generator_m, (3, 5)
+        else:
+            ctx, run_fn, blocks = BetaContext(lambda_threshold(2)), run_generator_s3, (4, 8)
+        counts = []
+        for n in (1, *blocks):  # the first run builds the tables
+            before = dict(calls)
+            run = run_fn(ctx, 1 if mode == gn.MODE_MAJORITY else 2, 1.0, n)
+            records.to_jsonl(records.generator_run_records(run, ctx.beta, 128))
+            counts.append({k: calls[k] - before[k] for k in calls})
+        assert counts[1] == counts[2]
+        assert sum(counts[1].values()) <= 10
+
     def test_majority_counts(self):
         ctx = BetaContext(_beta_below_omega(1))
         run = run_generator_m(ctx, 1, 1.0, 2)
@@ -697,8 +728,8 @@ def test_tolerance_zero_block_from_the_pivot():
     iv = block_steering_interval(ctx, 2)
     run = run_generator_m(ctx, 2, ctx.core_lo, 1)
     assert len(run.stages[1]) == 16
-    assert run.stages[1][-1] == ("11111", iv.lo)
-    assert run.extremes[1][0] == iv.lo
+    assert run.stage_values(1)[-1] == ("11111", iv.lo)
+    assert from_pair(run.extremes[1][0]) == iv.lo
 
 
 # ------------------------------------------------ mpf-operator reference
@@ -867,8 +898,9 @@ def test_raw_loops_are_bit_identical_to_mpf_operators(precision, tolerance, rng)
                 errors += 1
                 continue
             stages, extremes = want
-            assert [_bits(st) for st in got.stages] == [_bits(st) for st in stages]
-            assert ([(lo._mpf_, hi._mpf_) for lo, hi in got.extremes]
+            assert ([_bits(got.stage_values(s)) for s in range(len(got.stages))]
+                    == [_bits(st) for st in stages])
+            assert ([(from_pair(lo)._mpf_, from_pair(hi)._mpf_) for lo, hi in got.extremes]
                     == [(lo._mpf_, hi._mpf_) for lo, hi in extremes])
     assert errors > 0  # the error paths were compared too
 
@@ -877,8 +909,7 @@ def test_raw_loops_are_bit_identical_to_mpf_operators(precision, tolerance, rng)
 def test_violations_are_those_of_mpf_operators(precision, monkeypatch, rng):
     # past the thresholds blocks escape; the same block, value and message
     # must be reported, and the same forced runs must overrun
-    monkeypatch.setattr(gn, "omega_threshold", lambda m, abs_tol=1e-9: mpf(2))
-    monkeypatch.setattr(gn, "lambda_threshold", lambda m, abs_tol=1e-9: mpf(2))
+    monkeypatch.setattr(gn, "at_most_threshold", lambda beta, sequence, m: True)
     violations = 0
     for mode, m, beta in [(gn.MODE_MAJORITY, 1, float(omega_threshold(1)) + 3e-3),
                           (gn.MODE_MAJORITY, 2, float(omega_threshold(2)) + 2e-3),

@@ -3,9 +3,12 @@
 import ast
 import dataclasses
 import hashlib
+import itertools
 import math
 import pathlib
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -15,6 +18,7 @@ from mpmath import frexp, mp, mpf, workprec
 from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, mpf_sub, round_nearest
 
 import betaprefix
+import betaprefix.numeric as numeric
 from betaprefix import (BetaContext, NoRootFound, PolynomialFamily,
                         apply_map, apply_word, evaluate_polynomial,
                         golden_ratio, lambda_threshold, omega_threshold,
@@ -411,6 +415,159 @@ def test_apply_word_is_bit_identical_to_mpf_operators(rng, prec):
                 for word in (_runs_word(rng, length), "1" * length):
                     got = apply_word(ctx, word, x)
                     assert got._mpf_ == _operator_apply_word(ctx, word, x)._mpf_
+
+
+def _fresh_apply_word(ctx, word, x):
+    """``apply_word`` with the context's prefix memo cleared first."""
+    ctx._last_word = None
+    return apply_word(ctx, word, x)
+
+
+def _fresh_pair(ctx, word, v):
+    ctx._last_word = None
+    return numeric.apply_word_pair(ctx, word, v)
+
+
+def _word_pool(rng, length, count):
+    """Words of one length that share prefixes: random stems, each closed
+    by every tail of its last few digits."""
+    tail = min(length, 3)
+    stems = [_runs_word(rng, length - tail) for _ in range(count)]
+    return [stem + "".join(bits) for stem in stems
+            for bits in itertools.product("01", repeat=tail)]
+
+
+class TestWordMemo:
+    """``apply_word_pair`` resumes from the prefix shared with its last call;
+    every result must be the one a fresh call gives."""
+
+    def test_interleaved_calls_are_fresh_calls(self, rng):
+        contexts = [BetaContext("1.2", 128), BetaContext(lambda_threshold(3), 96)]
+        runs = []  # runs of neighbouring words, which share prefixes
+        for ctx in contexts:
+            points = [ctx.core_lo, ctx.one_over_beta_minus_one * mpf("0.37")]
+            for length in (9, 30):
+                for x in points:
+                    words = _word_pool(rng, length, 4)
+                    runs += [[(ctx, w, x) for w in words[i:i + 3]]
+                             for i in range(0, len(words), 3)]
+        rng.shuffle(runs)
+        calls = [call for run in runs for call in run]
+        # calls that raise or leave the pairs, in between
+        bad = [(contexts[0], "0120", calls[0][2]), (contexts[1], "01" * 5, mp.inf)]
+        for i, call in zip((5, 40), bad):
+            calls.insert(i, call)
+        got = []
+        for ctx, w, x in calls:
+            try:
+                got.append(apply_word(ctx, w, x)._mpf_)
+            except ValueError:
+                got.append(ValueError)
+        assert got.count(ValueError) == 1
+        for (ctx, w, x), value in zip(calls, got):
+            if value is ValueError:
+                with pytest.raises(ValueError):
+                    _fresh_apply_word(ctx, w, x)
+                continue
+            assert value == _fresh_apply_word(ctx, w, x)._mpf_
+            assert value == _operator_apply_word(ctx, w, x)._mpf_
+
+    def test_pair_calls_that_raise_keep_the_memo(self):
+        ctx = BetaContext("1.5", 128)
+        v = to_pair(ctx.core_lo, 128)
+        first = numeric.apply_word_pair(ctx, "0110", v)
+        kept = ctx._last_word
+        with pytest.raises(ValueError):
+            numeric.apply_word_pair(ctx, "01a0", v)
+        with pytest.raises(ValueError):
+            to_pair(mp.inf, 128)
+        assert ctx._last_word is kept
+        assert numeric.apply_word_pair(ctx, "0111", v) == _fresh_pair(ctx, "0111", v)
+        assert numeric.apply_word_pair(ctx, "0110", v) == first
+
+    def test_lexicographic_sweep_rounds_each_prefix_once(self, monkeypatch):
+        ctx = BetaContext("1.3", 128)
+        v = to_pair(ctx.core_hi, 128)
+        words = ["".join(b) for b in itertools.product("01", repeat=12)]
+        want = [_fresh_pair(ctx, w, v) for w in words]
+        subtractions = 0
+        original = numeric.pair_sum
+
+        def counting(a, b, prec):
+            nonlocal subtractions
+            subtractions += 1
+            return original(a, b, prec)
+
+        monkeypatch.setattr(numeric, "pair_sum", counting)
+        ctx._last_word = None
+        assert [numeric.apply_word_pair(ctx, w, v) for w in words] == want
+        # fresh calls would round k 2^(k-1) subtractions, one per digit 1;
+        # each word after the first differs from the one before in a 1
+        # followed by 0s, so the sweep rounds one per word
+        assert subtractions == 2 ** 12 - 1
+
+    def test_two_threads(self):
+        # one context, so both threads read and replace its one memo
+        ctx = BetaContext("1.25", 128)
+        jobs = []
+        for x, length in ((ctx.core_lo, 10), (ctx.core_hi, 9)):
+            v = to_pair(x, 128)
+            words = ["".join(b) for b in itertools.product("01", repeat=length)]
+            jobs.append((ctx, v, words, [_fresh_pair(ctx, w, v) for w in words]))
+        mismatches = []
+
+        def sweep(ctx, v, words, want):
+            for _ in range(5):
+                got = [numeric.apply_word_pair(ctx, w, v) for w in words]
+                mismatches.extend(w for w, a, b in zip(words, got, want) if a != b)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside sweeps
+        try:
+            threads = [threading.Thread(target=sweep, args=job) for job in jobs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+
+class TestThresholdBand:
+    """A base between a threshold's cached lower end and the threshold
+    itself is decided by exact signs."""
+
+    @pytest.mark.parametrize("sequence, threshold", [
+        ("omega", omega_threshold), ("lambda", lambda_threshold)])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_sides_of_the_root(self, sequence, threshold, m):
+        lower = threshold(m)
+        with workprec(200):
+            root = min(smallest_root_above_one(polynomial_spec(f, m), 1e-40, 200)
+                       for f in numeric._FAMILIES[sequence])
+            assert lower < root < lower + mpf(1e-9)
+            inside = (lower + root) / 2
+            outside = root + mpf(10) ** -35
+        before = ROOT_SEARCH_COUNTS.threshold_signs
+        assert numeric.at_most_threshold(lower, sequence, m)
+        assert numeric.at_most_threshold(inside, sequence, m)
+        assert numeric.at_most_threshold(root, sequence, m)
+        assert not numeric.at_most_threshold(outside, sequence, m)
+        assert ROOT_SEARCH_COUNTS.threshold_signs - before == 3
+        with workprec(200):
+            far = lower + mpf("3e-9")
+        assert not numeric.at_most_threshold(far, sequence, m)
+        assert ROOT_SEARCH_COUNTS.threshold_signs - before == 3
+
+    def test_plastic_number(self):
+        # lambda_1 is the root of x^3 - x - 1, 1.3247179572447460...; the
+        # cached lower end is 1.32471795658929...
+        beta = mpf("1.3247179569170202332")
+        assert beta > lambda_threshold(1)
+        assert numeric.at_most_threshold(beta, "lambda", 1)
+        assert not numeric.at_most_threshold(mpf("1.3247179575"), "lambda", 1)
 
 
 class TestPolynomials:

@@ -10,6 +10,7 @@ from mpmath.libmp import to_str
 from betaprefix import (BetaContext, bound_report, enumerate_prefixes_direct,
                         growth_estimate, lambda_threshold, omega_threshold,
                         run_generator_m, run_generator_s3)
+from betaprefix.numeric import from_pair
 from betaprefix.records import (bound_report_records, generator_run_records,
                                 growth_records, parse_prefix_set_records,
                                 parse_real, prefix_set_records, real_repr,
@@ -149,6 +150,41 @@ class TestPrinter:
             assert real_repr(special, bits) == _to_str_reference(special, bits)
 
 
+class TestPairPrinter:
+    """A ``numeric`` pair prints as the mpf it stands for."""
+
+    @pytest.mark.parametrize("bits", [53, 128, 200, 900])
+    def test_pairs_print_as_their_mpf(self, rng, bits):
+        pairs = [(0, 0), (0, -40), (0, 5)]
+        for _ in range(300):
+            d = rng.getrandbits(bits) | 1 << (bits - 1)
+            e = rng.randint(-60, 20) - bits
+            pairs += [(d, e), (-d, e),
+                      (d << 9, e - 9), (-d << 3, e - 3),  # trailing zeros
+                      (d >> rng.randint(1, bits - 1), e)]  # short mantissas
+        for _ in range(40):  # wider than the precision: rounded first
+            d = rng.getrandbits(bits + 40) | 1 << (bits + 39)
+            pairs += [(d, -bits - 40), (-d, 5 - bits)]
+        for scale in (3490, 3499, 3500, 3501, 3510, 10 ** 5):  # |exp + bc| > 3500
+            d = rng.getrandbits(bits) | 1 << (bits - 1)
+            pairs += [(d, scale - bits), (-d, -scale - bits), (d << 4, scale - bits - 4)]
+        for pair in pairs:
+            assert real_repr(pair, bits) == real_repr(from_pair(pair), bits), pair
+
+    def test_stage_values_print_as_their_mpf(self):
+        ctx = BetaContext(lambda_threshold(3))
+        run = run_generator_s3(ctx, 3, 0.7, 6)
+        recs = generator_run_records(run, ctx.beta, 128)
+        texts = [r["orbit_value"] for r in recs if r["kind"] == "stage_word"]
+        want = [real_repr(v, 128) for s in range(len(run.stages))
+                for _, v in run.stage_values(s)]
+        assert texts == want and len(texts) == 127
+        stages = [r for r in recs if r["kind"] == "stage"]
+        assert ([(r["orbit_min"], r["orbit_max"]) for r in stages]
+                == [(real_repr(from_pair(lo), 128), real_repr(from_pair(hi), 128))
+                    for lo, hi in run.extremes])
+
+
 def _json_dumps_lines(recs):
     return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in recs)
 
@@ -162,6 +198,15 @@ def test_to_jsonl_equals_json_dumps(run_of):
     ctx, m, x, blocks, run_fn = run_of()
     recs = generator_run_records(run_fn(ctx, m, x, blocks), ctx.beta, 128)
     assert sum(r["kind"] == "stage_word" for r in recs) > 30
+    assert to_jsonl(recs) == _json_dumps_lines(recs)
+
+
+@pytest.mark.parametrize("bits", [53, 200])
+def test_stage_printer_lines_equal_json_dumps(bits):
+    # the batch printer and the stage_word template at other precisions
+    ctx = BetaContext(1 + 0.5 * (float(omega_threshold(2)) - 1), bits)
+    recs = generator_run_records(run_generator_m(ctx, 2, 0.8, 2), ctx.beta, bits)
+    assert sum(r["kind"] == "stage_word" for r in recs) == 1 + 16 + 256
     assert to_jsonl(recs) == _json_dumps_lines(recs)
 
 
