@@ -18,35 +18,28 @@ the defining polynomial inequality for the given beta and aborts loudly.
 Both domain checks, beta <= omega_m and beta <= lambda_m, are exact
 (``numeric.at_most_threshold``).
 
-The generator tables (the validated steering intervals with their
-containment windows, the pair-mode check for each m, the block words with
-their affine offsets, and per length the steering words sorted by offset)
-are built once per base and process by ``functools.lru_cache``: contexts
-are values (see ``numeric``).  A run looks its tables up once, when it
-builds its extension function, not once per parent.
+The generator tables (steering intervals with their windows, the
+pair-mode check, block words with their affine offsets, steering words
+sorted by offset, the steered-pair run scale) are built once per base and
+process by ``functools.lru_cache``: contexts are values (see ``numeric``).
+A run looks them up once, when it builds its stage function
+``extend_stage(parents) -> (stage, least, greatest)``, which extends a
+whole stage in one loop; :func:`extend_block_m` and :func:`extend_block_s3`
+call it with one parent.  Every orbit loop rounds each sum and product
+once, as the mpf operators do, on the pairs of ``numeric``; stages and
+their extremes keep the pairs, which become mpf only at those two public
+extenders and in :meth:`GeneratorRun.stage_values`.  The steered-pair loop
+holds its values as ints at one binary scale per base and m, where each is
+exact (:func:`_pair_scale`).
 
-Every orbit loop (the forced climb, the block landings, the branch digit,
-the steering, the stage extremes and the entry search) runs on the pairs of
-``numeric``, and a run's stages and extremes keep those pairs: records print
-them as they are, and values become mpf only at the public
-:func:`extend_block_m` and :func:`extend_block_s3` and through
-:meth:`GeneratorRun.stage_values`.
-
-A word of length L acts on an orbit value v as beta^L * v + q.  One
-builder, :func:`_offset_table`, keeps the offsets q of a list of words
-exactly, as Python ints at one common binary exponent; it takes the words
-in lexicographic order, where ``apply_word_pair`` resumes from the prefix
-each shares with the one before.  Rounding
-``beta^L * v + q`` is monotone in q, so the steering words that land in the
-widened interval form one run of the offset-sorted table, and the
-lexicographically smallest word of the run is the one a lexicographic scan
-of all 2^L words would find first, with the same value.  The run is found
-by C ``bisect`` on the exact integer targets ``lo_w - beta^L * v`` and
-``hi_w - beta^L * v``; rounding can only add the offsets next to either end
-of that run, and those few are decided by rounding their sums.  For the
-same monotonicity a majority block's extreme values come from its extreme
-offsets, and each stage carries its least and greatest orbit value without
-comparing all of them.
+A word of length L acts on an orbit value v as beta^L * v + q, the offsets
+q kept exactly as ints at one exponent (:func:`_offset_table`).  Rounding
+``beta^L * v + q`` is monotone in q, so the steering words that land in a
+window are one run of the offset-sorted table, whose lexicographically
+smallest word is the one a scan of all 2^L words finds first; C ``bisect``
+finds the run between the rounding thresholds of the window's ends
+(:func:`_steer_run`).  For the same reason a majority block's extremes come
+from its extreme offsets.
 """
 
 from __future__ import annotations
@@ -54,6 +47,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, workprec
@@ -340,17 +334,18 @@ def _block_words(ctx: BetaContext, length: int, heavy: str) -> tuple:
 
 
 def _block_extender(ctx: BetaContext, m: int):
-    """``extend(prefix_word, o)`` for majority mode, from the orbit pair o:
-    the blocks of :func:`extend_block_m` and their landings as pairs, in two
-    lists, and the pairs of the least and greatest landing.  The steering
-    interval and both block tables are looked up once, here.
+    """``extend_stage(parents)`` for majority mode: from the (word, orbit
+    pair) parents of a stage, the next stage as (word, landing pair)
+    entries with its least and greatest landing.  The steering interval and
+    both block tables are looked up once, here.
 
     Every landing is ``base + q`` rounded once, base being beta^(2m+1) * o
-    rounded once; the rounding of :func:`round_nearest_even` runs inline
-    over the offset list.  Rounding keeps ``base + q`` monotone in q, so the
-    extremes are the landings of a least and a greatest offset, and every
-    block lands inside the window when these two do; otherwise the first
-    block in word order that leaves it is named."""
+    rounded once for the parent's orbit o; the rounding of
+    :func:`round_nearest_even` runs inline over the offset list.  Rounding
+    keeps ``base + q`` monotone in q, so a parent's extremes are the
+    landings of a least and a greatest offset, and every block lands inside
+    the window when these two do; otherwise the first block in word order
+    that leaves it is named."""
     iv = block_steering_interval(ctx, m)
     prec = ctx.precision_bits
     window, pivot = iv.window, to_pair(iv.pivot, prec)
@@ -358,36 +353,44 @@ def _block_extender(ctx: BetaContext, m: int):
     scale = ctx.int_powers(length)[length]
     tables = {heavy: _block_words(ctx, length, heavy) for heavy in "01"}
 
-    def extend(prefix_word: str, o):
-        if not window.contains_pair(o):
-            with workprec(prec):
-                raise InvalidPoint(
-                    f"orbit {from_pair(o)} outside steering interval [{iv.lo}, {iv.hi}]")
-        words, offsets, exp, i_min, i_max = tables[
-            "1" if compare_pairs(o, pivot) >= 0 else "0"]
-        bd, be = pair_product(scale, o, prec)
-        c = min(be, exp)  # base + q is exact at 2^c
-        bd <<= be - c
-        shift = exp - c
-        landings = []
-        for q in offsets:
-            d = (q << shift) + bd
-            n = d.bit_length() - prec
-            if n > 0 and d > 0:
-                landings.append(((d + (1 << (n - 1)) - 1 + (d >> n & 1)) >> n, c + n))
-            else:
-                landings.append(round_nearest_even(d, c, prec))
-        least, greatest = landings[i_min], landings[i_max]
-        if not (window.contains_pair(least) and window.contains_pair(greatest)):
-            block, v = next((b, v) for b, v in zip(words, landings)
-                            if not window.contains_pair(v))
-            with workprec(prec):
-                raise ContainmentViolation(
-                    f"block {block} (after {prefix_word!r}) leaves the steering "
-                    f"interval: value {from_pair(v)} not in [{iv.lo}, {iv.hi}] "
-                    f"at beta={ctx.beta}")
-        return words, landings, (least, greatest)
-    return extend
+    def extend_stage(parents):
+        stage = []
+        least = greatest = None
+        for prefix_word, o in parents:
+            if not window.contains_pair(o):
+                with workprec(prec):
+                    raise InvalidPoint(
+                        f"orbit {from_pair(o)} outside steering interval [{iv.lo}, {iv.hi}]")
+            words, offsets, exp, i_min, i_max = tables[
+                "1" if compare_pairs(o, pivot) >= 0 else "0"]
+            bd, be = pair_product(scale, o, prec)
+            c = min(be, exp)  # base + q is exact at 2^c
+            bd <<= be - c
+            shift = exp - c
+            landings = []
+            for q in offsets:
+                d = (q << shift) + bd
+                n = d.bit_length() - prec
+                if n > 0 and d > 0:
+                    landings.append(((d + (1 << (n - 1)) - 1 + (d >> n & 1)) >> n, c + n))
+                else:
+                    landings.append(round_nearest_even(d, c, prec))
+            lo, hi = landings[i_min], landings[i_max]
+            if not (window.contains_pair(lo) and window.contains_pair(hi)):
+                block, v = next((b, v) for b, v in zip(words, landings)
+                                if not window.contains_pair(v))
+                with workprec(prec):
+                    raise ContainmentViolation(
+                        f"block {block} (after {prefix_word!r}) leaves the steering "
+                        f"interval: value {from_pair(v)} not in [{iv.lo}, {iv.hi}] "
+                        f"at beta={ctx.beta}")
+            stage += zip(map(prefix_word.__add__, words), landings)
+            if least is None or compare_pairs(lo, least) < 0:
+                least = lo
+            if greatest is None or compare_pairs(hi, greatest) > 0:
+                greatest = hi
+        return stage, least, greatest
+    return extend_stage
 
 
 def extend_block_m(ctx: BetaContext, m: int, prefix_word: str, orbit):
@@ -401,35 +404,71 @@ def extend_block_m(ctx: BetaContext, m: int, prefix_word: str, orbit):
     ContainmentViolation, since it falsifies the block-return inequality
     for this beta.
     """
-    words, landings, _ = _block_extender(ctx, m)(
-        prefix_word, to_pair(orbit, ctx.precision_bits))
-    return [(w, from_pair(v)) for w, v in zip(words, landings)]
+    stage, _, _ = _block_extender(ctx, m)(
+        [(prefix_word, to_pair(orbit, ctx.precision_bits))])
+    return [(w[len(prefix_word):], from_pair(v)) for w, v in stage]
+
+
+@functools.lru_cache(maxsize=64)
+def _all_words(length: int) -> tuple:
+    """Every word of the given length; word i has the bits of the int i."""
+    return tuple("".join(bits) for bits in itertools.product("01", repeat=length))
 
 
 @_per_base
 def _steering_table(ctx: BetaContext, length: int) -> tuple:
-    """(offsets, exp, words): every word of the given length (at least 1)
-    with its offset (:func:`_offset_table`), sorted by offset."""
-    words = ["".join(bits) for bits in itertools.product("01", repeat=length)]
-    offsets, exp = _offset_table(ctx, words)
-    table = sorted(zip(offsets, words))
-    return [q for q, _ in table], exp, [w for _, w in table]
+    """(offsets, exp, order): the offsets of all words of the given length
+    (at least 1) in word order (:func:`_offset_table`), and the word ints
+    sorted by offset."""
+    offsets, exp = _offset_table(ctx, _all_words(length))
+    return offsets, exp, sorted(range(len(offsets)), key=offsets.__getitem__)
 
 
-def _steer_into(ctx: BetaContext, target: Window, value, length: int,
-                table=None):
+def _least_rounding_to(x, precision_bits: int, c: int) -> int:
+    """The least int y such that y * 2^c, rounded to nearest (ties to even)
+    at ``precision_bits``, is at least the pair x of at most that many bits.
+    The greatest y that rounds to at most x is ``-_least_rounding_to(-x)``.
+
+    With |x| = man * 2^e and 2^(prec-1) <= man < 2^prec, a value rounds to x
+    or above when it lies above the midpoint between x and the next
+    representable value below x, or on it when man is even (a tie goes to
+    the even mantissa).  That gap is 2^e, halved when x > 0 and man is a
+    power of two."""
+    d, e = x
+    if not d:
+        return 0  # y >= 0 rounds to at least 0
+    man = abs(d)
+    k = precision_bits - man.bit_length()
+    man, s = man << k, e - k - 2 - c
+    if d > 0:  # the midpoint, as t * 2^(c + s)
+        t = 4 * man - (1 if man == 1 << (precision_bits - 1) else 2)
+    else:
+        t = -4 * man - 2
+    odd = man & 1
+    if s >= 0:
+        return (t << s) + odd
+    y = t >> -s  # floor
+    return y + (odd if y << -s == t else 1)
+
+
+def _steer_run(offsets, order, low: int, high: int, base: int):
+    """The steering kernel: the least word int (the lexicographically
+    smallest word) whose exact landing ``base + q`` lies in [low, high], or
+    None; ``offsets`` are the sorted q, ``order`` their word ints, all ints
+    at one scale.  Those landings are one run of the offsets."""
+    first = bisect.bisect_left(offsets, low - base)
+    end = bisect.bisect_right(offsets, high - base, first)
+    return min(order[first:end]) if first < end else None
+
+
+def _steer_into(ctx: BetaContext, target: Window, value, length: int):
     """Lexicographically smallest word of the given length whose affine
     action sends the pair ``value`` into the window ``target``, with the
-    pair it lands on; ``table`` is ``_steering_table(ctx, length)``.
-
-    The landing of offset q is ``base + q`` rounded once, base being
-    beta^length * value rounded once.  The offsets whose exact sum lies
-    inside the widened ends are the run between the integer targets
-    ``lo_w - base`` and ``hi_w - base``, which C ``bisect`` finds.  The ends
-    are representable and rounding is monotone, so rounding can only add to
-    that run: an exact sum just below ``lo_w`` may round up onto it, one
-    just above ``hi_w`` down onto it.  So the run's ends are widened while
-    the rounded landing of the next offset still lies inside."""
+    pair it lands on: ``beta^length * value`` rounded once plus the word's
+    offset, rounded once.  Rounding is monotone, so the landing lies in the
+    window exactly when the exact sum lies between the rounding thresholds
+    of the widened ends (:func:`_least_rounding_to`), which
+    :func:`_steer_run` finds at an exponent where every sum is exact."""
     prec = ctx.precision_bits
     if length == 0:
         if target.contains_pair(value):
@@ -438,80 +477,185 @@ def _steer_into(ctx: BetaContext, target: Window, value, length: int,
             raise NoSteeringWord(
                 f"value {from_pair(value)} not in steering interval and no "
                 "steering steps left")
-    offsets, exp, words = table or _steering_table(ctx, length)
     bd, be = pair_product(ctx.int_powers(length)[length], value, prec)
+    c = min(be, _steering_table(ctx, length)[1])
+    offsets, order, by_word = _pair_steering(ctx, length, c)
     (ld, le), (hd, he) = target.ends
-    c = min(be, exp, le, he)  # every sum below is exact at 2^c
-    bd <<= be - c
-    ld <<= le - c
-    hd <<= he - c
-    shift = exp - c
-
-    def landing(i):  # rounded, as an int at 2^c
-        d, e = round_nearest_even((offsets[i] << shift) + bd, c, prec)
-        return d << (e - c)
-
-    first = bisect.bisect_left(offsets, -((bd - ld) >> shift))  # ceil
-    end = bisect.bisect_right(offsets, (hd - bd) >> shift)  # floor
-    while first and landing(first - 1) >= ld:
-        first -= 1
-    while end < len(offsets) and landing(end) <= hd:
-        end += 1
-    if first == end:
+    base = bd << (be - c)
+    k = _steer_run(offsets, order, _least_rounding_to((ld, le), prec, c),
+                   -_least_rounding_to((-hd, he), prec, c), base)
+    if k is None:
         with workprec(prec):
             raise NoSteeringWord(
                 f"no word of length {length} steers {from_pair(value)} back into "
                 f"[{target.lo}, {target.hi}] at beta={ctx.beta}")
-    k = min(range(first, end), key=words.__getitem__)
-    return words[k], (landing(k), c)
+    return _all_words(length)[k], round_nearest_even(base + by_word[k], c, prec)
 
 
-def _pair_extender(ctx: BetaContext, m: int):
-    """``extend(prefix_word, o)`` for steered-pair mode, from the orbit pair
-    o: the two extensions of :func:`extend_block_s3` and their landings as
-    pairs, in two tuples, and the pairs of the least and greatest landing.
-    The pair-mode check, the steering interval and each steering table are
-    looked up once, here (a table when its length is first needed).  The
-    branch digits share the product beta * v, rounded once, which
-    :func:`map_pair` would compute for each."""
+def _at_scale(x, c: int, up: bool = False) -> int:
+    """The pair x as an int at 2^c; rounded down, or up, if it is finer."""
+    d, e = x
+    return d << (e - c) if e >= c else -(-d >> (c - e)) if up else d >> (c - e)
+
+
+@_per_base
+def _pair_scale(ctx: BetaContext, m: int, lowest=None) -> tuple:
+    """(c, lo, hi, core_lo, core_hi, base_lo, base_hi, floor, low, high):
+    the run scale 2^c of steered-pair mode for this base and m, and as ints
+    at 2^c the widened ends of the steering, core and admissible windows
+    (lower ends rounded up, upper ones down, so comparisons with them are
+    exact), the floor below which a parent cannot climb into the core, and
+    the rounding thresholds of the steering window's ends.
+
+    A kept value has at most prec bits, so if it is at least 2^f in
+    magnitude it is a multiple of 2^(f + 1 - prec), as are sums and
+    roundings of such values: c = f + 1 - prec for a bound 2^f <= 1 (so
+    that the offsets, 0 or at least 1 in magnitude, are exact too) on all
+    nonzero values.  Parents lie in the steering window, and one below
+    2^F = core_lo 2^-(ceil((m+1) log2 beta) + 3) stays below the core for
+    m + 1 rounded steps times beta, so it raises the forced climb's error
+    at once.  Products times beta^L >= 1 do not shrink a value, a descent
+    stays near core_lo > lo + 1/2, and branch digit 1 gives at least
+    beta * core_lo - 1 (rounded as the loop rounds it) while that is
+    positive; else a sum that cancels is a multiple of the ulp of an
+    operand of at least 1/2, so at least 2^-prec.  When the core's lower
+    end is not positive (a tolerance of about 1/3 or more), a parent below
+    it is negative and cannot climb, and a run's values, from points above
+    the tolerance, stay above 2^(-prec-1).  ``lowest`` is floor(log2 |v|)
+    for a single parent v that the bound must cover too.  A parent pair
+    finer than 2^c lies below 2^f, and rounding it down to the scale keeps
+    its comparisons with the lower ends exact."""
+    iv = pair_steering_interval(ctx)
+    prec = ctx.precision_bits
+    (lo, hi), (core_lo, core_hi), (base_lo, base_hi) = (
+        iv.window.ends, iv.core.ends, ctx.base.ends)
+    log2 = lambda v: v[1] + abs(v[0]).bit_length() - 1  # noqa: E731
+    f = -prec - 1
+    if core_lo[0] > 0:
+        floor = log2(core_lo) - math.ceil((m + 1) * math.log2(float(ctx.beta))) - 3
+        turn = pair_sum(pair_product(ctx.int_powers(1)[1], core_lo, prec), (-1, 0), prec)
+        f = min(max(log2(lo), floor) if lo[0] > 0 else floor,
+                log2(turn) if turn[0] > 0 else f)
+    if lowest is not None:
+        f = min(f, lowest)
+    c = min(f, 0) + 1 - prec
+    ends = [_at_scale(x, c, up) for x, up in ((lo, True), (hi, False), (core_lo, True),
+                                              (core_hi, False), (base_lo, True),
+                                              (base_hi, False))]
+    return (c, *ends, 1 << (floor - c) if core_lo[0] > 0 else ends[2],
+            _least_rounding_to(lo, prec, c), -_least_rounding_to((-hi[0], hi[1]), prec, c))
+
+
+@_per_base
+def _pair_steering(ctx: BetaContext, length: int, c: int) -> tuple:
+    """(offsets, order, by_word): :func:`_steering_table` as ints at 2^c,
+    sorted and in word order."""
+    offsets, exp, order = _steering_table(ctx, length)
+    by_word = [q << (exp - c) for q in offsets]
+    return [by_word[i] for i in order], order, by_word
+
+
+def _round_at(d: int, e: int, precision_bits: int, c: int) -> int:
+    """d * 2^e rounded by :func:`round_nearest_even` (inline for d > 0), as
+    an int at 2^c, which lies at or below the exponent of the result."""
+    n = d.bit_length() - precision_bits
+    if n > 0:
+        if d > 0:
+            return ((d + (1 << (n - 1)) - 1 + (d >> n & 1)) >> n) << (e + n - c)
+        d, e = round_nearest_even(d, e, precision_bits)
+    return d << (e - c) if d else 0
+
+
+def _pair_extender(ctx: BetaContext, m: int, lowest=None):
+    """``extend_stage(parents)`` for steered-pair mode: from a stage's
+    (word, orbit pair) parents the next stage, two (word, landing pair)
+    entries per parent (:func:`extend_block_s3`), and its least and
+    greatest landing.  One loop runs the stage on ints at the run scale of
+    :func:`_pair_scale` (``lowest`` goes to it), where every value kept is
+    exact and each containment test, climb test and extreme is an int
+    comparison.  Each product and sum is rounded once, to nearest even at
+    the precision, in the mpf operators' order: the climb's beta * v (and
+    - 1 above the core), the branch digits from one product beta * v, and
+    beta^L * v plus the offset that :func:`_steer_run` picks against the
+    window's rounding thresholds, so only the chosen landing is rounded."""
     _require_pair_mode(ctx, m)
     iv = pair_steering_interval(ctx)
     prec = ctx.precision_bits
-    beta = ctx.int_powers(1)[1]
+    c, lo, hi, core_lo, core_hi, base_lo, base_hi, floor, low, high = _pair_scale(
+        ctx, m, lowest)
+    one = 1 << -c
+    powers = ctx.int_powers(m + 1)
+    bd, be = powers[1]
     tables = [None] * (m + 2)  # steering table per length
 
-    def extend(prefix_word: str, o):
-        if not iv.window.contains_pair(o):
-            with workprec(prec):
-                raise InvalidPoint(
-                    f"orbit {from_pair(o)} outside steering interval [{iv.lo}, {iv.hi}]")
-        climbed = _climb(ctx, iv.core, o, m + 1)
-        if climbed is None:
-            side = "climb" if compare_pairs(o, iv.core.ends[0]) < 0 else "descent"
-            with workprec(prec):
-                raise ContainmentViolation(
-                    f"forced {side} into the core took more than m+1={m + 1} "
-                    f"steps at beta={ctx.beta}")
-        forced, v = climbed
-        steer_len = m + 1 - len(forced)
-        if steer_len and tables[steer_len] is None:
-            tables[steer_len] = _steering_table(ctx, steer_len)
-        words, landings = [], []
-        vb = pair_product(beta, v, prec)
-        for digit in (0, 1):
-            if digit:
-                vb = pair_sum(vb, (-1, 0), prec)
-            if not ctx.base.contains_pair(vb):
+    def extend_stage(parents):
+        stage = []
+        least, greatest = hi + 1, lo - 1
+        for w, o in parents:
+            d, e = o
+            v = d << (e - c) if e >= c else d >> (c - e)
+            if not lo <= v <= hi:
                 with workprec(prec):
-                    raise ContainmentViolation(
-                        f"branch digit {digit} leaves the admissible interval from "
-                        f"core value {from_pair(v)} at beta={ctx.beta}")
-            steer, vf = _steer_into(ctx, iv.window, vb, steer_len, tables[steer_len])
-            words.append(forced + "01"[digit] + steer)
-            landings.append(vf)
-        v0, v1 = landings
-        return words, landings, ((v0, v1) if compare_pairs(v0, v1) <= 0 else (v1, v0))
-    return extend
+                    raise InvalidPoint(
+                        f"orbit {from_pair(o)} outside steering interval [{iv.lo}, {iv.hi}]")
+            forced = ""
+            up = v < core_lo
+            while v < core_lo if up else v > core_hi:
+                if len(forced) > m or v < floor:  # below floor: no m+1 steps reach the core
+                    with workprec(prec):
+                        raise ContainmentViolation(
+                            f"forced {'climb' if up else 'descent'} into the core took "
+                            f"more than m+1={m + 1} steps at beta={ctx.beta}")
+                v = _round_at(bd * v, be + c, prec, c)
+                if not up:
+                    v = _round_at(v - one, c, prec, c)
+                forced += "0" if up else "1"
+            k = m + 1 - len(forced)  # steering length
+            if k:
+                if tables[k] is None:
+                    tables[k] = (*_pair_steering(ctx, k, c), _all_words(k), *powers[k])
+                offsets, order, by_word, words, sd, se = tables[k]
+            vb = _round_at(bd * v, be + c, prec, c)
+            for digit in "01":
+                if digit == "1":
+                    vb = _round_at(vb - one, c, prec, c)
+                if not base_lo <= vb <= base_hi:
+                    with workprec(prec):
+                        raise ContainmentViolation(
+                            f"branch digit {digit} leaves the admissible interval from "
+                            f"core value {from_pair((v, c))} at beta={ctx.beta}")
+                if k:
+                    base = _round_at(sd * vb, se + c, prec, c)
+                    i = _steer_run(offsets, order, low, high, base)
+                    if i is None:
+                        with workprec(prec):
+                            raise NoSteeringWord(
+                                f"no word of length {k} steers {from_pair((vb, c))} "
+                                f"back into [{iv.lo}, {iv.hi}] at beta={ctx.beta}")
+                    y, steer = base + by_word[i], words[i]
+                elif lo <= vb <= hi:
+                    y, steer = vb, ""
+                else:
+                    with workprec(prec):
+                        raise NoSteeringWord(
+                            f"value {from_pair((vb, c))} not in steering interval and "
+                            "no steering steps left")
+                n = y.bit_length() - prec
+                if n <= 0:  # exact
+                    pair = y, c
+                elif y > 0:
+                    r = (y + (1 << (n - 1)) - 1 + (y >> n & 1)) >> n
+                    pair, y = (r, c + n), r << n
+                else:
+                    pair = round_nearest_even(y, c, prec)
+                    y = pair[0] << (pair[1] - c)
+                stage.append((w + forced + digit + steer, pair))
+                if y < least:
+                    least, least_pair = y, pair
+                if y > greatest:
+                    greatest, greatest_pair = y, pair
+        return stage, least_pair, greatest_pair
+    return extend_stage
 
 
 def extend_block_s3(ctx: BetaContext, m: int, prefix_word: str, orbit):
@@ -526,9 +670,10 @@ def extend_block_s3(ctx: BetaContext, m: int, prefix_word: str, orbit):
     interval.  Returns a pair of (word, final_orbit) tuples, which differ
     at the branch position.
     """
-    words, landings, _ = _pair_extender(ctx, m)(
-        prefix_word, to_pair(orbit, ctx.precision_bits))
-    return tuple((w, from_pair(v)) for w, v in zip(words, landings))
+    d, e = o = to_pair(orbit, ctx.precision_bits)
+    lowest = e + abs(d).bit_length() - 1 if d else None  # floor(log2 |orbit|)
+    stage, _, _ = _pair_extender(ctx, m, lowest)([(prefix_word, o)])
+    return tuple((w[len(prefix_word):], from_pair(v)) for w, v in stage)
 
 
 @dataclass(frozen=True)
@@ -595,17 +740,9 @@ def _run_generator(ctx: BetaContext, mode: str, m: int, x, num_blocks: int,
     if num_blocks:  # a run with no blocks builds no block tables
         extend = extender(ctx, m)
     for s in range(1, num_blocks + 1):
-        # parents are in lexicographic order and each parent's blocks,
-        # all of one length, come out in it, so the stage is sorted
-        nxt = []
-        least = greatest = None
-        for w, v in stages[-1]:
-            blocks, landings, (lo, hi) = extend(w, v)
-            nxt += zip(map(w.__add__, blocks), landings)
-            if least is None or compare_pairs(lo, least) < 0:
-                least = lo
-            if greatest is None or compare_pairs(hi, greatest) > 0:
-                greatest = hi
+        # parents are in lexicographic order and each parent's blocks, all
+        # of one length, come out in it, so the stage is sorted
+        nxt, least, greatest = extend(stages[-1])
         expected = _expected_stage_count(mode, m, s)
         if len(nxt) != expected:
             raise ContainmentViolation(

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import from_man_exp, mpf_pos, round_nearest, to_float
+from mpmath.libmp import from_man_exp, mpf_le, mpf_pos, round_nearest, to_float
 
 from .errors import NoRootFound, OutOfDomain
 
@@ -60,8 +60,10 @@ class Window:
     """A closed interval [lo, hi] with its tolerance-widened ends
     ``lo_w = lo - tol`` and ``hi_w = hi + tol``; build it with
     :meth:`BetaContext.window`.  mpf comparisons are exact at any
-    precision, so ``contains`` needs no working precision of its own, and
-    ``contains_pair`` makes the same two comparisons on a pair."""
+    precision, so ``contains`` needs no working precision of its own (an
+    mpf goes straight to libmp's ``mpf_le`` on the raw tuples, any other
+    value through the mpf operators), and ``contains_pair`` makes the same
+    two comparisons on a pair."""
 
     lo: object
     hi: object
@@ -70,6 +72,9 @@ class Window:
     ends: tuple = field(compare=False, repr=False)  # lo_w and hi_w as pairs
 
     def contains(self, x) -> bool:
+        if type(x) is mpf:
+            x = x._mpf_
+            return mpf_le(self.lo_w._mpf_, x) and mpf_le(x, self.hi_w._mpf_)
         return self.lo_w <= x <= self.hi_w
 
     def contains_pair(self, v) -> bool:
@@ -164,8 +169,9 @@ class BetaContext:
     closed-interval statements are not rejected through rounding.
     Contexts are values, equal and hashed alike when ``(beta,
     precision_bits, comparison_tolerance)`` agree; do not mutate one.  The
-    powers of beta, grown on demand, and the last :func:`apply_word_pair`
-    call are kept on the context and change no value it gives.
+    powers of beta, grown on demand, the last :func:`apply_word_pair` call
+    and the pair of the last mpf point of :func:`apply_word` are kept on
+    the context and change no value it gives.
     """
 
     def __init__(self, beta, precision_bits: int = DEFAULT_PRECISION_BITS,
@@ -192,6 +198,7 @@ class BetaContext:
         self.base = self.window(0, self.one_over_beta_minus_one)
         self._powers = [(1, 0), to_pair(b, self.precision_bits)]  # grown on demand
         self._last_word = None  # apply_word_pair's last call
+        self._last_point = None  # apply_word's last mpf point, with its pair
         self._key = (b._mpf_, self.precision_bits, self.comparison_tolerance._mpf_)
 
     def __eq__(self, other):
@@ -257,15 +264,23 @@ def apply_word(ctx: BetaContext, word: str, x):
     e_n = 1 is rounded once; the powers are those of ``ctx.power``.  These
     are the operations ``ctx.power(k) * mpf(x)`` and ``acc -= ctx.power(k-n)``
     run under ``workprec``, each correctly rounded, so the result is the
-    same ``_mpf_``; here they run on pairs (:func:`apply_word_pair`).
+    same ``_mpf_``; here they run on pairs (:func:`apply_word_pair`).  The
+    context keeps the pair of its last mpf x, keyed on ``x._mpf_`` and
+    replaced whole, so many words from one point round x once.
     """
     if word.strip("01"):
         raise ValueError(f"word must be over '0'/'1', got {word!r}")
-    try:
-        v = to_pair(x, ctx.precision_bits)
-    except ValueError:  # inf or nan: no finite power moves it
-        with workprec(ctx.precision_bits):
-            return ctx.power(len(word)) * mpf(x)
+    last = ctx._last_point
+    if type(x) is mpf and last is not None and last[0] == x._mpf_:
+        v = last[1]
+    else:
+        try:
+            v = to_pair(x, ctx.precision_bits)
+        except ValueError:  # inf or nan: no finite power moves it
+            with workprec(ctx.precision_bits):
+                return ctx.power(len(word)) * mpf(x)
+        if type(x) is mpf:
+            ctx._last_point = x._mpf_, v
     return from_pair(apply_word_pair(ctx, word, v))
 
 

@@ -3,10 +3,11 @@
 import bisect
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from mpmath import frexp, mp, mpf, workprec
-from mpmath.libmp import from_man_exp, mpf_add
+from mpmath.libmp import from_man_exp, mpf_add, mpf_pos, round_nearest
 
 import betaprefix.generators as gn
 import betaprefix.numeric as numeric
@@ -22,7 +23,7 @@ from betaprefix import (BetaContext, CapExceeded, ContainmentViolation,
                         smallest_root_above_one, polynomial_spec,
                         PolynomialFamily)
 from betaprefix.errors import NoSteeringWord
-from betaprefix.numeric import from_pair, to_pair
+from betaprefix.numeric import apply_word_pair, from_pair, pair_product, to_pair
 
 
 def _beta_below_omega(m, factor=0.7):
@@ -551,6 +552,107 @@ def test_steer_rounding_onto_widened_ends(precision, rng):
         assert moved_lo > 0 and moved_hi > 0
 
 
+def _exact(pair):
+    """The pair (d, e) as an exact Fraction."""
+    d, e = pair
+    return Fraction(d) * Fraction(2) ** e
+
+
+def _rounded(value, precision):
+    """The Fraction ``value``, whose denominator is a power of two, rounded
+    by libmp to nearest (ties to even) at ``precision`` bits, exactly."""
+    k = value.denominator.bit_length() - 1
+    sign, man, exp, _ = mpf_pos(from_man_exp(value.numerator, -k), precision,
+                                round_nearest)
+    return _exact((-man if sign else man, exp))
+
+
+@pytest.mark.parametrize("precision", [53, 128])
+def test_rounding_thresholds_are_least_and_greatest(precision):
+    # ends that are powers of two or have odd or even full-width mantissas,
+    # of either sign, and 0, at scales where the midpoints next to them are
+    # ints (so that a tie decides) and where they are not
+    full = [((1 << precision) - 1, -precision), ((1 << precision) - 2, -precision),
+            ((1 << (precision - 1)) + 1, 3 - precision)]
+    ends = [(0, 0), (1, 0), (1, -3), (-1, 5), (3, -2), (-5, 7), (7, 1)]
+    ends += full + [(-d, e) for d, e in full]
+    for x in ends:
+        target = _exact(x)
+        ulp = x[1] + abs(x[0]).bit_length() - precision
+        for c in range(ulp - 5, ulp + 3):
+            low = gn._least_rounding_to(x, precision, c)
+            high = -gn._least_rounding_to((-x[0], x[1]), precision, c)
+            at = lambda y: _rounded(Fraction(y) * Fraction(2) ** c, precision)
+            assert at(low) >= target > at(low - 1)
+            assert at(high) <= target < at(high + 1)
+
+
+def _tie_values(ctx, end, lower, length):
+    """Points v from which some word's exact landing, beta^length * v
+    rounded once plus the word's offset, is the midpoint between the
+    widened end ``end`` (a pair) and the representable value next to it
+    outside the window: an exact tie, which rounding settles.  Returns the
+    points and whether the tie rounds onto the end."""
+    prec = ctx.precision_bits
+    d, e = end
+    k = prec - abs(d).bit_length()
+    man, ulp = abs(d) << k, e - k
+    gap = ulp - 1 if lower and d > 0 and man == 1 << (prec - 1) else ulp
+    mid = _exact(end) + (-1 if lower else 1) * Fraction(2) ** (gap - 1)
+    scale = ctx.int_powers(length)[length]
+    points = []
+    for w in ("".join(bits) for bits in itertools.product("01", repeat=length)):
+        base = mid - _exact(apply_word_pair(ctx, w, (0, 0)))
+        if base <= 0 or _rounded(base, prec) != base:
+            continue  # no product rounded at the precision is base
+        with workprec(prec):
+            v0 = mpf(base.numerator) / base.denominator / from_pair(scale)
+            ulp_v = mpf(2) ** (frexp(v0)[1] - prec)
+            for j in range(-3, 4):
+                v = to_pair(v0 + j * ulp_v, prec)
+                if _exact(pair_product(scale, v, prec)) == base:
+                    points.append(from_pair(v))
+    return points, _rounded(mid, prec) == _exact(end)
+
+
+@pytest.mark.parametrize("precision", [53, 128])
+def test_steer_thresholds_settle_ties_at_either_end(precision, rng):
+    # At beta = 1.1 the offsets reach below -4, so landings near the ends
+    # below are sums that round, and some are exact midpoints next to an
+    # end.  The ends are powers of two, or have even or odd mantissas; a
+    # tie rounds onto an end exactly when its mantissa is even.  The search
+    # must agree with the linear scan on each window and on one-point
+    # windows at its ends, from points with ties and from points around it.
+    ctx = BetaContext("1.1", precision_bits=precision, comparison_tolerance=0)
+    with workprec(precision):
+        even = (mpf("4.5"), mpf("5.5"))
+        odd = tuple(x + mpf(2) ** (frexp(x)[1] - precision) for x in even)
+        windows = [(mpf(4), mpf(8)), even, odd, (mpf(4), odd[1]), (odd[0], mpf(8))]
+    ties = dict.fromkeys(itertools.product((True, False), repeat=2), 0)
+    for lo, hi in windows:
+        window = ctx.window(lo, hi)
+        for length in range(1, 7):
+            points = _steer_values(ctx, lo, hi, length, rng)[11:]
+            for lower, end in ((True, window.ends[0]), (False, window.ends[1])):
+                tied, onto = _tie_values(ctx, end, lower, length)
+                ties[lower, onto] += len(tied)
+                points += tied
+            for a, b in ((lo, hi), (lo, lo), (hi, hi)):
+                target = ctx.window(a, b)
+                for value in points:
+                    pair = to_pair(value, precision)
+                    try:
+                        with workprec(precision):
+                            want = _scan_steer(ctx, a, b, value, length)
+                    except NoSteeringWord:
+                        with pytest.raises(NoSteeringWord):
+                            gn._steer_into(ctx, target, pair, length)
+                        continue
+                    got = gn._steer_into(ctx, target, pair, length)
+                    assert got[0] == want[0] and from_pair(got[1]) == want[1]
+    assert all(ties.values()), ties  # ties onto and off each kind of end
+
+
 def _forced_prefix(w0, w1):
     out = []
     for a, b in zip(w0, w1):
@@ -603,6 +705,30 @@ class TestGeneratorRuns:
             counts.append({k: calls[k] - before[k] for k in calls})
         assert counts[1] == counts[2]
         assert sum(counts[1].values()) <= 10
+
+    def test_pair_stages_make_no_pair_comparisons(self, monkeypatch):
+        # the steered-pair stage loop compares ints at its run scale and
+        # rounds inline: neither count grows with the stages
+        calls = {"compare_pairs": 0, "round_nearest_even": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for module in (numeric, gn):
+            for name in calls:
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        ctx = BetaContext(lambda_threshold(4))
+        counts = []
+        # the first run builds the tables, the second leaves its entry in
+        # the prefix memo of apply_word_pair for the others
+        for n in (8, 8, 6, 8):
+            before = dict(calls)
+            run_generator_s3(ctx, 4, 1.0, n)
+            counts.append({k: calls[k] - before[k] for k in calls})
+        assert counts[2] == counts[3]
 
     def test_majority_counts(self):
         ctx = BetaContext(_beta_below_omega(1))
@@ -859,7 +985,7 @@ def test_raw_loops_are_bit_identical_to_mpf_operators(precision, tolerance, rng)
     # precision holds them exactly)
     cases = [(gn.MODE_MAJORITY, m, _beta_below_omega(m, f)) for m in (1, 2)
              for f in (0.5, 0.9999)]
-    cases += [(gn.MODE_STEERED_PAIR, m, _beta_below_lambda(m, f)) for m in (1, 2, 3)
+    cases += [(gn.MODE_STEERED_PAIR, m, _beta_below_lambda(m, f)) for m in (1, 2, 3, 4, 5)
               for f in (0.5, 0.9999)]
     errors = 0
     for mode, m, beta in cases:
@@ -929,6 +1055,55 @@ def test_violations_are_those_of_mpf_operators(precision, monkeypatch, rng):
     assert violations > 0
 
 
+@pytest.mark.parametrize("precision", [53, 128])
+@pytest.mark.parametrize("widen", ["lo", "core_lo"])
+def test_tolerance_past_the_pair_intervals_lower_end(precision, widen, rng):
+    # A tolerance above the pair interval's lower end puts the window's
+    # lower end below 0, and one above core_lo the core's too; branch digit
+    # 1 can then cancel to a tiny value and orbits can be 0 or negative.
+    # Runs and single extensions must give the results and errors of the
+    # mpf operators.
+    outcomes = set()
+    for m in (2, 5):
+        for f in (0.5, 0.9999):
+            beta = _beta_below_lambda(m, f)
+            exact = pair_steering_interval(
+                BetaContext(beta, precision_bits=precision, comparison_tolerance=0))
+            with workprec(precision):
+                tolerance = getattr(exact, widen) * mpf("1.1")
+            ctx = BetaContext(beta, precision_bits=precision,
+                              comparison_tolerance=tolerance)
+            iv = pair_steering_interval(ctx)
+            assert iv.window.lo_w < 0
+            with workprec(precision):
+                orbits = [iv.lo, iv.core_lo, iv.core_hi, iv.hi, iv.window.lo_w,
+                          mpf(0), mpf(2) ** -200, -mpf(2) ** -100]
+                orbits += [iv.lo + mpf(rng.random()) * (iv.hi - iv.lo) for _ in range(6)]
+                # from about 1/beta, branch digit 1 cancels to a few ulps of 1
+                inv = 1 / ctx.beta
+                orbits += [inv + k * mpf(2) ** (frexp(inv)[1] - precision)
+                           for k in range(-3, 4)]
+            for orbit in orbits:
+                got, want = (_bits(_outcome(fn, ctx, m, "01", orbit))
+                             for fn in (extend_block_s3, _ref_extend_s3))
+                assert got == want
+                outcomes.add(got[0] if isinstance(got, tuple) else "ok")
+            for x in (1.0, ctx.core_lo, ctx.one_over_beta_minus_one * mpf("0.93")):
+                got = _outcome(run_generator_s3, ctx, m, x, 4)
+                want = _outcome(_ref_stages, ctx, gn.MODE_STEERED_PAIR, m, x, 4)
+                if isinstance(want, tuple) and isinstance(want[0], type):
+                    assert got == want
+                    continue
+                stages, extremes = want
+                assert ([_bits(got.stage_values(s)) for s in range(len(got.stages))]
+                        == [_bits(st) for st in stages])
+                assert ([(from_pair(lo)._mpf_, from_pair(hi)._mpf_)
+                         for lo, hi in got.extremes]
+                        == [(lo._mpf_, hi._mpf_) for lo, hi in extremes])
+    # the zero, tiny and negative orbits were extended or refused alike
+    assert {"ok", ContainmentViolation, NoSteeringWord} <= outcomes
+
+
 # ------------------------------------------------------- shared tables
 
 class TestSharedTables:
@@ -936,7 +1111,8 @@ class TestSharedTables:
     and contexts are values: equal ones share every table."""
 
     _CACHES = ("block_steering_interval", "pair_steering_interval",
-               "_require_pair_mode", "_block_words", "_steering_table")
+               "_require_pair_mode", "_block_words", "_steering_table",
+               "_pair_scale", "_pair_steering")
 
     def test_equal_keys_share_tables(self):
         a, b = BetaContext("1.02"), BetaContext("1.02")
