@@ -12,11 +12,10 @@ from .errors import (BetaPrefixError, CapExceeded, ContainmentViolation,
                      OutOfDomain, Unreachable)
 from .generators import (BlockSteeringInterval, GeneratorRun,
                          PairSteeringInterval, block_steering_interval,
-                         entry_word_m, entry_word_s3, extend_block_m,
-                         extend_block_s3, pair_steering_interval,
+                         entry_word_m, entry_word_s3, pair_steering_interval,
                          run_generator_m, run_generator_s3)
 from .numeric import (BetaContext, PolynomialFamily, PolynomialSpec,
-                      apply_map, apply_word, evaluate_polynomial, golden_ratio,
+                      apply_word, evaluate_polynomial, golden_ratio,
                       lambda_threshold, omega_threshold, polynomial_spec,
                       polynomial_string, smallest_root_above_one)
 from .prefixes import (GrowthEstimate, PrefixSet, count_prefixes_window,

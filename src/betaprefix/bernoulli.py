@@ -98,6 +98,15 @@ def _support_share(lo: float, hi: float, ub: float) -> Optional[float]:
     return None
 
 
+def _require_depth(depth: int, least: int) -> None:
+    """ValueError below ``least``, DepthExceeded above ``MAX_DEPTH`` (each
+    Monte Carlo digit is a float64 column of ``_MC_CHUNK`` rows)."""
+    if depth < least:
+        raise ValueError(f"depth must be >= {least}")
+    if depth > MAX_DEPTH:
+        raise DepthExceeded(f"depth {depth} above cap {MAX_DEPTH}")
+
+
 def _sampled_estimates(beta: float, intervals, depth: int, samples: int,
                        seed: int) -> list:
     """Monte Carlo brackets of mu([lo, hi]) for each interval (see
@@ -127,10 +136,7 @@ def _sampled_estimates(beta: float, intervals, depth: int, samples: int,
 def _count_estimates(ctx: BetaContext, intervals, depth: int) -> list:
     """Cylinder-count brackets of mu([lo, hi]) for each interval (see
     ``measure_interval``), from one half-split count over all of them."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if depth > MAX_DEPTH:
-        raise DepthExceeded(f"recursion depth {depth} above cap {MAX_DEPTH}")
+    _require_depth(depth, 0)
     if any(hi < lo for lo, hi in intervals):
         raise ValueError("interval endpoints out of order")
     beta = float(ctx.beta)
@@ -183,8 +189,7 @@ def measure_monte_carlo(ctx: BetaContext, lo, hi, samples: int, depth: int,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    _require_depth(depth, 1)
     beta = float(ctx.beta)
     ub = float(ctx.one_over_beta_minus_one)
     lo_f, hi_f = float(lo), float(hi)
@@ -228,6 +233,7 @@ def local_dimension(ctx: BetaContext, x, k_min: int, k_max: int,
     radii = tuple(beta ** -k for k in ks)
     balls = [(xf - r, xf + r) for r in radii]
     if method == METHOD_MONTE_CARLO:
+        _require_depth(depth, 1)
         estimates = _sampled_estimates(beta, balls, depth, samples, seed)
     else:
         estimates = _count_estimates(ctx, balls, depth)

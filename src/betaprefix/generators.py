@@ -23,14 +23,14 @@ pair-mode check, block words with their affine offsets, steering words
 sorted by offset, the steered-pair run scale) are built once per base and
 process by ``functools.lru_cache``: contexts are values (see ``numeric``).
 A run looks them up once, when it builds its stage function
-``extend_stage(parents) -> (stage, least, greatest)``, which extends a
-whole stage in one loop; :func:`extend_block_m` and :func:`extend_block_s3`
-call it with one parent.  Every orbit loop rounds each sum and product
-once, as the mpf operators do, on the pairs of ``numeric``; stages and
-their extremes keep the pairs, which become mpf only at those two public
-extenders and in :meth:`GeneratorRun.stage_values`.  The steered-pair loop
-holds its values as ints at one binary scale per base and m, where each is
-exact (:func:`_pair_scale`).
+``extend_stage(parents) -> (stage, least, greatest)`` (one per mode,
+:func:`_block_extender` and :func:`_pair_extender`), which extends a whole
+stage in one loop.  Every orbit loop rounds each sum and product once, as
+the mpf operators do, on the pairs of ``numeric``; stages and their
+extremes keep the pairs, which become mpf only in
+:meth:`GeneratorRun.stage_values`.  The steered-pair loop holds its values
+as ints at one binary scale per base and m, where each is exact
+(:func:`_pair_scale`).
 
 A word of length L acts on an orbit value v as beta^L * v + q, the offsets
 q kept exactly as ints at one exponent (:func:`_offset_table`).  Rounding
@@ -110,7 +110,7 @@ def block_steering_interval(ctx: BetaContext, m: int) -> BlockSteeringInterval:
     (-beta^(2m+2)+beta+1)/(beta^2-1), and hi the word 0^(2m+1) applied to
     core_hi = beta/(beta^2-1), which is beta^(2m+2)/(beta^2-1).  Both are
     computed in the affine form beta^(2m+1) * v + offset that
-    :func:`extend_block_m` applies to blocks, so the extremal block from
+    :func:`_block_extender` applies to blocks, so the extremal block from
     the pivot lands exactly on lo.  Requires beta <= omega threshold of m;
     then 0 <= lo < pivot < hi <= 1/(beta-1).
     """
@@ -336,8 +336,10 @@ def _block_words(ctx: BetaContext, length: int, heavy: str) -> tuple:
 def _block_extender(ctx: BetaContext, m: int):
     """``extend_stage(parents)`` for majority mode: from the (word, orbit
     pair) parents of a stage, the next stage as (word, landing pair)
-    entries with its least and greatest landing.  The steering interval and
-    both block tables are looked up once, here.
+    entries, 2^(2m) per parent, with its least and greatest landing.
+    Parents at or above the pivot take the ones-heavy blocks, those below
+    it the zeros-heavy ones.  The steering interval and both block tables
+    are looked up once, here.
 
     Every landing is ``base + q`` rounded once, base being beta^(2m+1) * o
     rounded once for the parent's orbit o; the rounding of
@@ -393,22 +395,6 @@ def _block_extender(ctx: BetaContext, m: int):
     return extend_stage
 
 
-def extend_block_m(ctx: BetaContext, m: int, prefix_word: str, orbit):
-    """All 2^(2m) majority blocks of length 2m+1 extending a prefix whose
-    orbit value is ``orbit``, with the orbit value after each block.
-
-    Orbits at or above the pivot take ones-heavy blocks, below it
-    zeros-heavy ones (a value exactly at the pivot belongs to both closed
-    halves; the ones-heavy rule keeps runs reproducible).  Every extension
-    must land back inside the steering interval; any escape raises
-    ContainmentViolation, since it falsifies the block-return inequality
-    for this beta.
-    """
-    stage, _, _ = _block_extender(ctx, m)(
-        [(prefix_word, to_pair(orbit, ctx.precision_bits))])
-    return [(w[len(prefix_word):], from_pair(v)) for w, v in stage]
-
-
 @functools.lru_cache(maxsize=64)
 def _all_words(length: int) -> tuple:
     """Every word of the given length; word i has the bits of the int i."""
@@ -461,37 +447,6 @@ def _steer_run(offsets, order, low: int, high: int, base: int):
     return min(order[first:end]) if first < end else None
 
 
-def _steer_into(ctx: BetaContext, target: Window, value, length: int):
-    """Lexicographically smallest word of the given length whose affine
-    action sends the pair ``value`` into the window ``target``, with the
-    pair it lands on: ``beta^length * value`` rounded once plus the word's
-    offset, rounded once.  Rounding is monotone, so the landing lies in the
-    window exactly when the exact sum lies between the rounding thresholds
-    of the widened ends (:func:`_least_rounding_to`), which
-    :func:`_steer_run` finds at an exponent where every sum is exact."""
-    prec = ctx.precision_bits
-    if length == 0:
-        if target.contains_pair(value):
-            return "", value
-        with workprec(prec):
-            raise NoSteeringWord(
-                f"value {from_pair(value)} not in steering interval and no "
-                "steering steps left")
-    bd, be = pair_product(ctx.int_powers(length)[length], value, prec)
-    c = min(be, _steering_table(ctx, length)[1])
-    offsets, order, by_word = _pair_steering(ctx, length, c)
-    (ld, le), (hd, he) = target.ends
-    base = bd << (be - c)
-    k = _steer_run(offsets, order, _least_rounding_to((ld, le), prec, c),
-                   -_least_rounding_to((-hd, he), prec, c), base)
-    if k is None:
-        with workprec(prec):
-            raise NoSteeringWord(
-                f"no word of length {length} steers {from_pair(value)} back into "
-                f"[{target.lo}, {target.hi}] at beta={ctx.beta}")
-    return _all_words(length)[k], round_nearest_even(base + by_word[k], c, prec)
-
-
 def _at_scale(x, c: int, up: bool = False) -> int:
     """The pair x as an int at 2^c; rounded down, or up, if it is finer."""
     d, e = x
@@ -499,7 +454,7 @@ def _at_scale(x, c: int, up: bool = False) -> int:
 
 
 @_per_base
-def _pair_scale(ctx: BetaContext, m: int, lowest=None) -> tuple:
+def _pair_scale(ctx: BetaContext, m: int) -> tuple:
     """(c, lo, hi, core_lo, core_hi, base_lo, base_hi, floor, low, high):
     the run scale 2^c of steered-pair mode for this base and m, and as ints
     at 2^c the widened ends of the steering, core and admissible windows
@@ -521,10 +476,9 @@ def _pair_scale(ctx: BetaContext, m: int, lowest=None) -> tuple:
     operand of at least 1/2, so at least 2^-prec.  When the core's lower
     end is not positive (a tolerance of about 1/3 or more), a parent below
     it is negative and cannot climb, and a run's values, from points above
-    the tolerance, stay above 2^(-prec-1).  ``lowest`` is floor(log2 |v|)
-    for a single parent v that the bound must cover too.  A parent pair
-    finer than 2^c lies below 2^f, and rounding it down to the scale keeps
-    its comparisons with the lower ends exact."""
+    the tolerance, stay above 2^(-prec-1).  A parent pair finer than 2^c
+    lies below 2^f, and rounding it down to the scale keeps its comparisons
+    with the lower ends exact."""
     iv = pair_steering_interval(ctx)
     prec = ctx.precision_bits
     (lo, hi), (core_lo, core_hi), (base_lo, base_hi) = (
@@ -536,8 +490,6 @@ def _pair_scale(ctx: BetaContext, m: int, lowest=None) -> tuple:
         turn = pair_sum(pair_product(ctx.int_powers(1)[1], core_lo, prec), (-1, 0), prec)
         f = min(max(log2(lo), floor) if lo[0] > 0 else floor,
                 log2(turn) if turn[0] > 0 else f)
-    if lowest is not None:
-        f = min(f, lowest)
     c = min(f, 0) + 1 - prec
     ends = [_at_scale(x, c, up) for x, up in ((lo, True), (hi, False), (core_lo, True),
                                               (core_hi, False), (base_lo, True),
@@ -566,12 +518,16 @@ def _round_at(d: int, e: int, precision_bits: int, c: int) -> int:
     return d << (e - c) if d else 0
 
 
-def _pair_extender(ctx: BetaContext, m: int, lowest=None):
+def _pair_extender(ctx: BetaContext, m: int):
     """``extend_stage(parents)`` for steered-pair mode: from a stage's
     (word, orbit pair) parents the next stage, two (word, landing pair)
-    entries per parent (:func:`extend_block_s3`), and its least and
-    greatest landing.  One loop runs the stage on ints at the run scale of
-    :func:`_pair_scale` (``lowest`` goes to it), where every value kept is
+    entries of length m+2 per parent, and its least and greatest landing.
+    From below the core the lower map is forced until the orbit reaches it,
+    from above the upper map, at most m+1 steps; then come the branch
+    digits 0 and 1, each followed by the steering word of the remaining
+    length that lands back in the steering interval.  One loop runs the
+    stage on ints at the run scale of :func:`_pair_scale`, where every
+    value kept is
     exact and each containment test, climb test and extreme is an int
     comparison.  Each product and sum is rounded once, to nearest even at
     the precision, in the mpf operators' order: the climb's beta * v (and
@@ -581,8 +537,7 @@ def _pair_extender(ctx: BetaContext, m: int, lowest=None):
     _require_pair_mode(ctx, m)
     iv = pair_steering_interval(ctx)
     prec = ctx.precision_bits
-    c, lo, hi, core_lo, core_hi, base_lo, base_hi, floor, low, high = _pair_scale(
-        ctx, m, lowest)
+    c, lo, hi, core_lo, core_hi, base_lo, base_hi, floor, low, high = _pair_scale(ctx, m)
     one = 1 << -c
     powers = ctx.int_powers(m + 1)
     bd, be = powers[1]
@@ -656,24 +611,6 @@ def _pair_extender(ctx: BetaContext, m: int, lowest=None):
                     greatest, greatest_pair = y, pair
         return stage, least_pair, greatest_pair
     return extend_stage
-
-
-def extend_block_s3(ctx: BetaContext, m: int, prefix_word: str, orbit):
-    """The two steered extensions of length m+2 from an orbit value inside
-    the pair steering interval.
-
-    Case analysis on the orbit's position: inside the core two-cycle the
-    branch digit applies immediately; strictly below the core the lower map
-    is forced until the core is reached (at most m+1 steps); strictly above,
-    the upper map is forced symmetrically.  After the branch digit a
-    steering word of the remaining length returns the orbit to the
-    interval.  Returns a pair of (word, final_orbit) tuples, which differ
-    at the branch position.
-    """
-    d, e = o = to_pair(orbit, ctx.precision_bits)
-    lowest = e + abs(d).bit_length() - 1 if d else None  # floor(log2 |orbit|)
-    stage, _, _ = _pair_extender(ctx, m, lowest)([(prefix_word, o)])
-    return tuple((w[len(prefix_word):], from_pair(v)) for w, v in stage)
 
 
 @dataclass(frozen=True)

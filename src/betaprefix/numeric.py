@@ -6,8 +6,9 @@ a base against the golden ratio) is exact and comes from one routine,
 error bound (a floating-point filter, Shewchuk 1997), then the ambient
 mpmath precision under its error bound, then integers.
 
-Everything orbit-related is computed in software floating point (mpmath) at
-the context's working precision.  64-bit doubles misclassify interval
+Every orbit value is rounded to nearest at the context's working
+precision, as mpmath's mpf operators round it, but the loops run on
+integer pairs (below), not on mpf.  64-bit doubles misclassify interval
 membership after a few dozen map applications when beta is close to 1, so
 the default working width is 128 bits with a comparison tolerance of 2^-64
 for boundary classification.
@@ -244,19 +245,12 @@ class BetaContext:
         return self.base.contains(x)
 
 
-def apply_map(ctx: BetaContext, digit: int, x):
-    """One map step: returns beta*x - digit for digit in {0,1}."""
-    if digit not in (0, 1):
-        raise ValueError("digit must be 0 or 1")
-    return apply_word(ctx, "01"[digit], x)
-
-
 def apply_word(ctx: BetaContext, word: str, x):
     """Closed-form composition of map steps along a binary word.
 
     For word digits e_1..e_k this returns beta^k * x - sum e_n beta^(k-n),
-    which equals the left-to-right iteration of :func:`apply_map` up to
-    accumulated rounding.
+    which equals the left-to-right iteration of the maps beta * x - e_n up
+    to accumulated rounding; a one-digit word is one map step.
 
     Rounding order, at ``ctx.precision_bits`` and to nearest (ties to
     even): x is rounded once, the product beta^k * x is rounded once, and
@@ -287,7 +281,7 @@ def apply_word(ctx: BetaContext, word: str, x):
 def map_pair(ctx: BetaContext, digit: int, v) -> tuple:
     """One map step on the pair v, beta * v - digit: the product rounded
     once, then for digit 1 the difference rounded once, as
-    :func:`apply_map` rounds them."""
+    :func:`apply_word` rounds the one-digit word."""
     prec = ctx.precision_bits
     v = pair_product(ctx.int_powers(1)[1], v, prec)
     return pair_sum(v, (-1, 0), prec) if digit else v
@@ -630,10 +624,11 @@ def smallest_root_above_one(spec: PolynomialSpec, abs_tol: float = DEFAULT_ROOT_
     Raises NoRootFound when the bound is 0 or no sign change is seen, which
     signals either a coefficient bug or insufficient precision, or when
     ``precision_bits`` cannot narrow the bracket further; ValueError unless
-    0 < abs_tol < inf, or when the bound is 2 or more.
+    2^(1 - precision_bits) <= abs_tol < inf (no bracket on [1, 2) is
+    narrower than that ulp), or when the bound is 2 or more.
     """
-    if not 0 < abs_tol < math.inf:
-        raise ValueError("abs_tol must be positive and finite")
+    if not 0 < abs_tol < math.inf or abs_tol < math.ldexp(1.0, 1 - precision_bits):
+        raise ValueError(f"abs_tol must be finite and at least 2^{1 - precision_bits}")
     bound = descartes_bound_above_one(spec)
     if bound == 0:
         raise NoRootFound(

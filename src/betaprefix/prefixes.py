@@ -213,7 +213,8 @@ def count_prefixes_window(ctx: BetaContext, x, k: int) -> int:
         raise MemoryGuard(f"window count k={k} above cap {WINDOW_K_CAP}")
     beta = float(ctx.beta)
     xf = float(x)
-    _require_in_base_interval(ctx, mpf(x))
+    with workprec(ctx.precision_bits):
+        _require_in_base_interval(ctx, mpf(x))
     if k == 0:
         return 1
     width = beta ** -k / (beta - 1.0)

@@ -154,6 +154,8 @@ class TestMonteCarlo:
             measure_monte_carlo(ctx15, 0.4, 0.6, 0, 30, seed=1)
         with pytest.raises(ValueError):
             measure_monte_carlo(ctx15, 0.4, 0.6, 100, 0, seed=1)
+        with pytest.raises(DepthExceeded):
+            measure_monte_carlo(ctx15, 0.4, 0.6, 100, 49, seed=1)
 
 
 class TestLocalDimension:
@@ -242,6 +244,7 @@ class TestLocalDimension:
             local_dimension(ctx15, 1.0, 8, 12, method="nope")
         with pytest.raises(ValueError, match="samples"):
             local_dimension(ctx15, 1.1, 8, 10, samples=0)
-        with pytest.raises(DepthExceeded):
-            local_dimension(ctx15, 1.1, 8, 10, method=METHOD_RECURSION,
-                            depth=49)
+        for method in (METHOD_RECURSION, METHOD_MONTE_CARLO):
+            with pytest.raises(DepthExceeded):
+                local_dimension(ctx15, 1.1, 8, 10, method=method, depth=49,
+                                samples=64)

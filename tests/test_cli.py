@@ -53,7 +53,7 @@ class TestRoots:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "1e-60"])
     def test_rejects_bad_abs_tol(self, capsys, tol):
         code, out, err = run_cli(capsys, "roots", "1", "--abs-tol", tol)
         assert code == 2

@@ -1,6 +1,7 @@
 """Tests for the steering intervals, entry words and the two generators."""
 
 import bisect
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -13,17 +14,28 @@ import betaprefix.generators as gn
 import betaprefix.numeric as numeric
 import betaprefix.records as records
 from betaprefix import (BetaContext, CapExceeded, ContainmentViolation,
-                        InvalidPoint, MemoryGuard, OutOfDomain, apply_map, apply_word,
+                        InvalidPoint, MemoryGuard, OutOfDomain, apply_word,
                         block_steering_interval, entry_word_m, entry_word_s3,
-                        enumerate_prefixes_direct, extend_block_m,
-                        extend_block_s3, golden_ratio, kappa_lower_bound,
+                        enumerate_prefixes_direct, golden_ratio, kappa_lower_bound,
                         lambda_threshold, omega_threshold,
                         pair_steering_interval,
                         run_generator_m, run_generator_s3,
                         smallest_root_above_one, polynomial_spec,
                         PolynomialFamily)
 from betaprefix.errors import NoSteeringWord
-from betaprefix.numeric import apply_word_pair, from_pair, pair_product, to_pair
+from betaprefix.numeric import (apply_word_pair, from_pair, pair_product,
+                                round_nearest_even, to_pair)
+
+
+def _extend(extender, ctx, m, prefix_word, orbit):
+    """One parent's extensions by a stage kernel, as (block, landing) with
+    the landing an mpf."""
+    stage, _, _ = extender(ctx, m)([(prefix_word, to_pair(orbit, ctx.precision_bits))])
+    return [(w[len(prefix_word):], from_pair(v)) for w, v in stage]
+
+
+extend_m = functools.partial(_extend, gn._block_extender)
+extend_s3 = functools.partial(_extend, gn._pair_extender)
 
 
 def _beta_below_omega(m, factor=0.7):
@@ -66,7 +78,7 @@ class TestBlockSteeringInterval:
             with workprec(ctx.precision_bits):
                 assert iv.lo == ctx.power(n) * ctx.core_lo + apply_word(ctx, "1" * n, 0)
             assert iv.hi == apply_word(ctx, "0" * n, ctx.core_hi)
-            assert extend_block_m(ctx, m, "", iv.pivot)[-1] == ("1" * n, iv.lo)
+            assert extend_m(ctx, m, "", iv.pivot)[-1] == ("1" * n, iv.lo)
             _assert_closed_forms(ctx, iv, 2 * m + 1)
             # the core two-cycle sits inside the interval
             assert iv.lo <= ctx.core_lo < ctx.core_hi <= iv.hi
@@ -125,8 +137,8 @@ class TestPairSteeringInterval:
             iv = pair_steering_interval(ctx)
             assert 0 <= iv.lo <= iv.core_lo < iv.core_hi <= iv.hi
             assert iv.hi <= ctx.one_over_beta_minus_one
-            assert iv.lo == apply_map(ctx, 1, ctx.core_lo)
-            assert iv.hi == apply_map(ctx, 0, ctx.core_hi)
+            assert iv.lo == apply_word(ctx, "1", ctx.core_lo)
+            assert iv.hi == apply_word(ctx, "0", ctx.core_hi)
             _assert_closed_forms(ctx, iv, 1)
 
     @pytest.mark.parametrize("precision", [96, 128, 200])
@@ -305,7 +317,7 @@ class TestExtendBlockM:
     def test_m1_ones_heavy_blocks(self):
         ctx = BetaContext(_beta_below_omega(1))
         iv = block_steering_interval(ctx, 1)
-        exts = extend_block_m(ctx, 1, "", iv.pivot)  # pivot joins ones side
+        exts = extend_m(ctx, 1, "", iv.pivot)  # pivot joins ones side
         assert [w for w, _ in exts] == ["011", "101", "110", "111"]
 
     def test_m1_zeros_heavy_blocks(self):
@@ -313,7 +325,7 @@ class TestExtendBlockM:
         iv = block_steering_interval(ctx, 1)
         with workprec(ctx.precision_bits):
             orbit = (iv.lo + iv.pivot) / 2
-        exts = extend_block_m(ctx, 1, "", orbit)
+        exts = extend_m(ctx, 1, "", orbit)
         assert [w for w, _ in exts] == ["000", "001", "010", "100"]
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -323,7 +335,7 @@ class TestExtendBlockM:
         for _ in range(4):
             with workprec(ctx.precision_bits):
                 orbit = iv.lo + mpf(rng.random()) * (iv.hi - iv.lo)
-            exts = extend_block_m(ctx, m, "", orbit)
+            exts = extend_m(ctx, m, "", orbit)
             assert len(exts) == 2 ** (2 * m)
             for w, v in exts:
                 assert len(w) == 2 * m + 1
@@ -347,7 +359,7 @@ class TestExtendBlockM:
         ctx = BetaContext(_beta_below_omega(1))
         iv = block_steering_interval(ctx, 1)
         with pytest.raises(InvalidPoint):
-            extend_block_m(ctx, 1, "", iv.hi * mpf("1.2"))
+            extend_m(ctx, 1, "", iv.hi * mpf("1.2"))
 
     def test_containment_violation_past_threshold(self, monkeypatch):
         # push the validity gate past the true root; the landing check must
@@ -358,7 +370,7 @@ class TestExtendBlockM:
         ctx = BetaContext(true_root + 5e-4)
         iv = gn.block_steering_interval(ctx, 1)
         with pytest.raises(ContainmentViolation):
-            gn.extend_block_m(ctx, 1, "", iv.hi)
+            extend_m(ctx, 1, "", iv.hi)
 
 
 class TestExtendBlockS3:
@@ -369,7 +381,7 @@ class TestExtendBlockS3:
         for _ in range(6):
             with workprec(ctx.precision_bits):
                 orbit = iv.lo + mpf(rng.random()) * (iv.hi - iv.lo)
-            pair = extend_block_s3(ctx, m, "", orbit)
+            pair = extend_s3(ctx, m, "", orbit)
             assert len(pair) == 2
             (w0, v0), (w1, v1) = pair
             assert len(w0) == len(w1) == m + 2
@@ -387,7 +399,7 @@ class TestExtendBlockS3:
             ctx = BetaContext(_beta_below_lambda(m))
             iv = pair_steering_interval(ctx)
             for orbit in (iv.lo, iv.hi):
-                pair = extend_block_s3(ctx, m, "", orbit)
+                pair = extend_s3(ctx, m, "", orbit)
                 for w, _ in pair:
                     forced = _forced_prefix(pair[0][0], pair[1][0])
                     assert len(forced) <= m + 1
@@ -395,7 +407,7 @@ class TestExtendBlockS3:
     def test_core_orbit_branches_immediately(self):
         m = 2
         ctx = BetaContext(_beta_below_lambda(m))
-        pair = extend_block_s3(ctx, m, "", ctx.core_lo)
+        pair = extend_s3(ctx, m, "", ctx.core_lo)
         assert {w[0] for w, _ in pair} == {"0", "1"}
 
     def test_violation_past_threshold(self, monkeypatch):
@@ -408,22 +420,28 @@ class TestExtendBlockS3:
         ctx = BetaContext(true_root + 0.01)
         iv = gn.pair_steering_interval(ctx)
         with pytest.raises(ContainmentViolation):
-            gn.extend_block_s3(ctx, m, "", iv.lo)
+            extend_s3(ctx, m, "", iv.lo)
 
     def test_out_of_domain_repeats(self):
         ctx = BetaContext("1.55")  # above lambda_2
         for _ in range(2):  # a failed pair-mode check is not cached
             with pytest.raises(OutOfDomain):
-                extend_block_s3(ctx, 2, "", ctx.core_lo)
+                extend_s3(ctx, 2, "", ctx.core_lo)
 
     def test_steering_guard_rejects_stranded_value(self):
-        # with no steering steps left, a value outside the interval has no
-        # way back and the guard must say so
-        from betaprefix import NoSteeringWord
-        ctx = BetaContext("1.4")
-        iv = pair_steering_interval(ctx)
-        with pytest.raises(NoSteeringWord):
-            gn._steer_into(ctx, iv.window, to_pair(iv.hi * 2, 128), 0)
+        # a forced climb of m+1 steps that ends in the core's tolerance band
+        # below core_lo leaves no steering steps, and branch digit 1 then
+        # lands about beta * tol below the interval's lower end, past its
+        # tolerance: with no way back the guard must say so
+        for m in (1, 2, 3):
+            ctx = BetaContext(lambda_threshold(m), comparison_tolerance="1e-6")
+            with workprec(ctx.precision_bits):
+                orbit = ((ctx.core_lo - mpf("0.95") * ctx.comparison_tolerance)
+                         / ctx.power(m + 1))
+            with pytest.raises(NoSteeringWord, match="no steering steps left"):
+                extend_s3(ctx, m, "", orbit)
+            assert (_outcome(extend_s3, ctx, m, "", orbit)
+                    == _outcome(_ref_extend_s3, ctx, m, "", orbit))
 
 
 def _scan_steer(ctx, lo, hi, value, length):
@@ -489,24 +507,44 @@ def _steer_values(ctx, lo, hi, length, rng):
     return values
 
 
+def _steer(ctx, target, value, length):
+    """The stage loop's steering step from the pair ``value`` into the
+    window ``target``, for a length of at least 1: :func:`gn._steer_run`
+    between the rounding thresholds of the window's widened ends
+    (:func:`gn._least_rounding_to`), at a scale where every landing
+    ``beta^length * value`` (rounded once) plus an offset is exact.  Returns
+    the word and its landing rounded once, or raises NoSteeringWord."""
+    prec = ctx.precision_bits
+    bd, be = pair_product(ctx.int_powers(length)[length], value, prec)
+    c = min(be, gn._steering_table(ctx, length)[1])
+    offsets, order, by_word = gn._pair_steering(ctx, length, c)
+    (ld, le), (hd, he) = target.ends
+    base = bd << (be - c)
+    k = gn._steer_run(offsets, order, gn._least_rounding_to((ld, le), prec, c),
+                      -gn._least_rounding_to((-hd, he), prec, c), base)
+    if k is None:
+        raise NoSteeringWord("no word")
+    return gn._all_words(length)[k], round_nearest_even(base + by_word[k], c, prec)
+
+
 def _steer_against_scan(ctx, lo, hi, rng):
-    """Compare ``_steer_into`` with the linear scan into [lo, hi] for every
-    length up to 7 from ``_steer_values``; returns how many chosen landings
-    sat on a widened end, and how many of those only rounding put there
-    (exact landing below ``lo_w``, above ``hi_w``)."""
+    """Compare :func:`_steer` with the linear scan into [lo, hi] for every
+    length from 1 to 7 from ``_steer_values``; returns how many chosen
+    landings sat on a widened end, and how many of those only rounding put
+    there (exact landing below ``lo_w``, above ``hi_w``)."""
     window = ctx.window(lo, hi)
     seen = {"on_end": 0, "moved_lo": 0, "moved_hi": 0}
     with workprec(ctx.precision_bits):
-        for length in range(8):
+        for length in range(1, 8):
             for value in _steer_values(ctx, lo, hi, length, rng):
                 pair = to_pair(value, ctx.precision_bits)
                 try:
                     want = _scan_steer(ctx, lo, hi, value, length)
                 except NoSteeringWord:
                     with pytest.raises(NoSteeringWord):
-                        gn._steer_into(ctx, window, pair, length)
+                        _steer(ctx, window, pair, length)
                     continue
-                got = gn._steer_into(ctx, window, pair, length)
+                got = _steer(ctx, window, pair, length)
                 assert got[0] == want[0] and from_pair(got[1]) == want[1]
                 if want[1] in (window.lo_w, window.hi_w):
                     seen["on_end"] += 1
@@ -646,9 +684,9 @@ def test_steer_thresholds_settle_ties_at_either_end(precision, rng):
                             want = _scan_steer(ctx, a, b, value, length)
                     except NoSteeringWord:
                         with pytest.raises(NoSteeringWord):
-                            gn._steer_into(ctx, target, pair, length)
+                            _steer(ctx, target, pair, length)
                         continue
-                    got = gn._steer_into(ctx, target, pair, length)
+                    got = _steer(ctx, target, pair, length)
                     assert got[0] == want[0] and from_pair(got[1]) == want[1]
     assert all(ties.values()), ties  # ties onto and off each kind of end
 
@@ -992,10 +1030,10 @@ def test_raw_loops_are_bit_identical_to_mpf_operators(precision, tolerance, rng)
         ctx = BetaContext(beta, precision_bits=precision,
                           comparison_tolerance=tolerance)
         if mode == gn.MODE_MAJORITY:
-            iv, pair = block_steering_interval(ctx, m), (extend_block_m, _ref_extend_m)
+            iv, pair = block_steering_interval(ctx, m), (extend_m, _ref_extend_m)
             marks = (iv.lo, iv.pivot, iv.hi)
         else:
-            iv, pair = pair_steering_interval(ctx), (extend_block_s3, _ref_extend_s3)
+            iv, pair = pair_steering_interval(ctx), (extend_s3, _ref_extend_s3)
             marks = (iv.lo, iv.core_lo, iv.core_hi, iv.hi)
         with workprec(precision):
             orbits = [*marks, iv.hi * mpf("1.01")]
@@ -1042,9 +1080,9 @@ def test_violations_are_those_of_mpf_operators(precision, monkeypatch, rng):
                           (gn.MODE_STEERED_PAIR, 2, float(lambda_threshold(2)) + 1e-2)]:
         ctx = BetaContext(beta, precision_bits=precision)
         if mode == gn.MODE_MAJORITY:
-            iv, pair = block_steering_interval(ctx, m), (extend_block_m, _ref_extend_m)
+            iv, pair = block_steering_interval(ctx, m), (extend_m, _ref_extend_m)
         else:
-            iv, pair = pair_steering_interval(ctx), (extend_block_s3, _ref_extend_s3)
+            iv, pair = pair_steering_interval(ctx), (extend_s3, _ref_extend_s3)
         with workprec(precision):
             orbits = [iv.lo, iv.hi]
             orbits += [iv.lo + mpf(rng.random()) * (iv.hi - iv.lo) for _ in range(8)]
@@ -1062,7 +1100,10 @@ def test_tolerance_past_the_pair_intervals_lower_end(precision, widen, rng):
     # lower end below 0, and one above core_lo the core's too; branch digit
     # 1 can then cancel to a tiny value and orbits can be 0 or negative.
     # Runs and single extensions must give the results and errors of the
-    # mpf operators.
+    # mpf operators.  The run starts a few ulps above the tolerance (the
+    # least start allowed) and about 1/beta press on the run scale's bound
+    # (gn._pair_scale): a parent finer than the scale would break bit
+    # identity.
     outcomes = set()
     for m in (2, 5):
         for f in (0.5, 0.9999):
@@ -1076,19 +1117,23 @@ def test_tolerance_past_the_pair_intervals_lower_end(precision, widen, rng):
             iv = pair_steering_interval(ctx)
             assert iv.window.lo_w < 0
             with workprec(precision):
-                orbits = [iv.lo, iv.core_lo, iv.core_hi, iv.hi, iv.window.lo_w,
-                          mpf(0), mpf(2) ** -200, -mpf(2) ** -100]
+                orbits = [iv.lo, iv.core_lo, iv.core_hi, iv.hi, iv.window.lo_w, mpf(0)]
                 orbits += [iv.lo + mpf(rng.random()) * (iv.hi - iv.lo) for _ in range(6)]
                 # from about 1/beta, branch digit 1 cancels to a few ulps of 1
                 inv = 1 / ctx.beta
-                orbits += [inv + k * mpf(2) ** (frexp(inv)[1] - precision)
-                           for k in range(-3, 4)]
+                near_inv = [inv + k * mpf(2) ** (frexp(inv)[1] - precision)
+                            for k in range(-3, 4)]
+                orbits += near_inv
+                tol = ctx.comparison_tolerance
+                starts = [tol + k * mpf(2) ** (frexp(tol)[1] - precision)
+                          for k in range(1, 4)]
             for orbit in orbits:
                 got, want = (_bits(_outcome(fn, ctx, m, "01", orbit))
-                             for fn in (extend_block_s3, _ref_extend_s3))
+                             for fn in (extend_s3, _ref_extend_s3))
                 assert got == want
                 outcomes.add(got[0] if isinstance(got, tuple) else "ok")
-            for x in (1.0, ctx.core_lo, ctx.one_over_beta_minus_one * mpf("0.93")):
+            for x in (1.0, ctx.core_lo, ctx.one_over_beta_minus_one * mpf("0.93"),
+                      *starts, *near_inv):
                 got = _outcome(run_generator_s3, ctx, m, x, 4)
                 want = _outcome(_ref_stages, ctx, gn.MODE_STEERED_PAIR, m, x, 4)
                 if isinstance(want, tuple) and isinstance(want[0], type):

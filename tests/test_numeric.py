@@ -20,7 +20,7 @@ from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, mpf_sub, round_nearest
 import betaprefix
 import betaprefix.numeric as numeric
 from betaprefix import (BetaContext, NoRootFound, PolynomialFamily,
-                        apply_map, apply_word, evaluate_polynomial,
+                        apply_word, evaluate_polynomial,
                         golden_ratio, lambda_threshold, omega_threshold,
                         polynomial_spec, polynomial_string,
                         smallest_root_above_one)
@@ -78,8 +78,8 @@ class TestBetaContext:
         for _ in range(25):
             ctx = BetaContext(rng.uniform(1.01, 1.99))
             tol = ctx.comparison_tolerance
-            assert abs(apply_map(ctx, 0, ctx.core_lo) - ctx.core_hi) <= tol
-            assert abs(apply_map(ctx, 1, ctx.core_hi) - ctx.core_lo) <= tol
+            assert abs(apply_word(ctx, "0", ctx.core_lo) - ctx.core_hi) <= tol
+            assert abs(apply_word(ctx, "1", ctx.core_hi) - ctx.core_lo) <= tol
 
 
 def _around(end, precision):
@@ -136,14 +136,14 @@ class TestWindow:
 
 class TestMaps:
     def test_zero_fixed_point(self, ctx15):
-        assert apply_map(ctx15, 0, 0) == 0
+        assert apply_word(ctx15, "0", 0) == 0
 
     def test_one_digit_at_one(self, ctx15):
-        assert float(apply_map(ctx15, 1, 1)) == pytest.approx(0.5)
+        assert float(apply_word(ctx15, "1", 1)) == pytest.approx(0.5)
 
     def test_bad_digit(self, ctx15):
         with pytest.raises(ValueError):
-            apply_map(ctx15, 2, 0.5)
+            apply_word(ctx15, "2", 0.5)
 
     def test_empty_word_is_identity(self, ctx15):
         x = mpf("0.37")
@@ -157,7 +157,7 @@ class TestMaps:
         ctx = BetaContext("1.8")
         x = mpf("0.7")
         closed = apply_word(ctx, "10", x)
-        stepped = apply_map(ctx, 0, apply_map(ctx, 1, x))
+        stepped = apply_word(ctx, "0", apply_word(ctx, "1", x))
         assert abs(closed - stepped) < mpf(2) ** -100
         assert float(closed) == pytest.approx(0.468)
 
@@ -186,7 +186,7 @@ class TestMaps:
             x = mpf(frac) * ctx.one_over_beta_minus_one
             v = x
             for b in bits:
-                v = apply_map(ctx, b, v)
+                v = apply_word(ctx, "01"[b], v)
             assert abs(apply_word(ctx, word, x) - v) < mpf(2) ** -64
 
     def test_closed_form_matches_iteration_bulk(self):
@@ -200,7 +200,7 @@ class TestMaps:
                 x = mpf(rng.random()) * ctx.one_over_beta_minus_one
                 v = x
                 for b in bits:
-                    v = apply_map(ctx, b, v)
+                    v = apply_word(ctx, "01"[b], v)
                 assert abs(apply_word(ctx, word, x) - v) < mpf(2) ** -64
 
 

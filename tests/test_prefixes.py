@@ -146,6 +146,14 @@ class TestGuards:
             enumerate_prefixes_direct(ctx15, 2.5, 4)
         with pytest.raises(InvalidPoint):
             count_prefixes_window(ctx15, 3.0, 4)
+        # 1e-17 above 1/(beta-1) = 2, far past the 2^-64 tolerance, but 2.0
+        # once rounded to 53 bits: each path checks at the context precision
+        with workprec(ctx15.precision_bits):
+            past = mpf("2.00000000000000001")
+        for count in (enumerate_prefixes_branching, enumerate_prefixes_direct,
+                      count_prefixes_window):
+            with pytest.raises(InvalidPoint):
+                count(ctx15, past, 8)
 
     def test_direct_cap(self, ctx15):
         with pytest.raises(CapExceeded):
