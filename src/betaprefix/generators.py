@@ -28,9 +28,12 @@ A run looks them up once, when it builds its stage function
 stage in one loop.  Every orbit loop rounds each sum and product once, as
 the mpf operators do, on the pairs of ``numeric``; stages and their
 extremes keep the pairs, which become mpf only in
-:meth:`GeneratorRun.stage_values`.  The steered-pair loop holds its values
-as ints at one binary scale per base and m, where each is exact
-(:func:`_pair_scale`).
+:meth:`GeneratorRun.stage_values`.  Both stage loops hold their values as
+ints at one binary scale 2^c, where each is exact: per base and m in
+steered-pair mode (:func:`_pair_scale`), per stage in majority mode.  There
+every comparison is an int comparison, and both loops share the parent
+check (:func:`_parents_at`) and the landing step, with its rounding,
+extremes and containment check (:func:`_land`).
 
 A word of length L acts on an orbit value v as beta^L * v + q, the offsets
 q kept exactly as ints at one exponent (:func:`_offset_table`).  Rounding
@@ -38,8 +41,7 @@ q kept exactly as ints at one exponent (:func:`_offset_table`).  Rounding
 window are one run of the offset-sorted table, whose lexicographically
 smallest word is the one a scan of all 2^L words finds first; C ``bisect``
 finds the run between the rounding thresholds of the window's ends
-(:func:`_steer_run`).  For the same reason a majority block's extremes come
-from its extreme offsets.
+(:func:`_steer_run`).
 """
 
 from __future__ import annotations
@@ -253,8 +255,8 @@ def _entry_word(ctx: BetaContext, target: Window, x):
         _, _, exp, bc = u._mpf_
         near = max(tol, 2 * mpf(2) ** (exp + bc - prec) / (ctx.beta - 1))
         if not tol < x < u - near:
-            raise InvalidPoint(f"x={x} must lie strictly inside (0, 1/(beta-1)), "
-                               f"more than {mp.nstr(near, 3)} below its upper end")
+            raise InvalidPoint(f"x={x} must lie more than {mp.nstr(tol, 3)} above 0 and "
+                               f"more than {mp.nstr(near, 3)} below 1/(beta-1)")
         if target.contains(x):
             return "", 0
         steps = _climb_length(ctx, target, x)
@@ -303,13 +305,10 @@ def _require_pair_mode(ctx: BetaContext, m: int) -> None:
             f"{lambda_threshold(m)}, got {ctx.beta}")
 
 
-@functools.lru_cache(maxsize=256)
-def _majority_words(length: int, heavy: str) -> tuple:
-    """All words of the given length in which ``heavy`` occupies a strict
-    majority of positions, in lexicographic order."""
-    need = length // 2 + 1
-    return tuple("".join(bits) for bits in itertools.product("01", repeat=length)
-                 if bits.count(heavy) >= need)
+@functools.lru_cache(maxsize=64)
+def _all_words(length: int) -> tuple:
+    """Every word of the given length; word i has the bits of the int i."""
+    return tuple("".join(bits) for bits in itertools.product("01", repeat=length))
 
 
 def _offset_table(ctx: BetaContext, words) -> tuple:
@@ -323,14 +322,11 @@ def _offset_table(ctx: BetaContext, words) -> tuple:
 
 @_per_base
 def _block_words(ctx: BetaContext, length: int, heavy: str) -> tuple:
-    """(words, offsets, exp, i_min, i_max): the majority words in
-    lexicographic order with their offsets (:func:`_offset_table`), and the
-    positions of a least and a greatest offset."""
-    words = _majority_words(length, heavy)
-    offsets, exp = _offset_table(ctx, words)
-    positions = range(len(words))
-    return (words, offsets, exp, min(positions, key=offsets.__getitem__),
-            max(positions, key=offsets.__getitem__))
+    """(words, offsets, exp): the words of the odd ``length`` in which
+    ``heavy`` has a strict majority, in lexicographic order, with their
+    offsets (:func:`_offset_table`)."""
+    words = tuple(w for w in _all_words(length) if w.count(heavy) > length // 2)
+    return (words, *_offset_table(ctx, words))
 
 
 def _block_extender(ctx: BetaContext, m: int):
@@ -341,64 +337,32 @@ def _block_extender(ctx: BetaContext, m: int):
     it the zeros-heavy ones.  The steering interval and both block tables
     are looked up once, here.
 
-    Every landing is ``base + q`` rounded once, base being beta^(2m+1) * o
-    rounded once for the parent's orbit o; the rounding of
-    :func:`round_nearest_even` runs inline over the offset list.  Rounding
-    keeps ``base + q`` monotone in q, so a parent's extremes are the
-    landings of a least and a greatest offset, and every block lands inside
-    the window when these two do; otherwise the first block in word order
-    that leaves it is named."""
+    Every landing is ``base + q`` (rounded by :func:`_land`), q a block's
+    offset at 2^exp and base = beta^(2m+1) * o rounded once, for the
+    parent's orbit o = d * 2^e and beta^(2m+1) = sd * 2^se.  As base is a
+    multiple of 2^(se + e), o, base + q and its rounding are ints at 2^c for
+    c = min(exp, min(se, 0) + the least e of the stage's nonzero parents),
+    at any tolerance.  With the window's ends and the pivot at 2^c (lower
+    end and pivot rounded up, upper end down), all comparisons are exact."""
     iv = block_steering_interval(ctx, m)
     prec = ctx.precision_bits
-    window, pivot = iv.window, to_pair(iv.pivot, prec)
     length = 2 * m + 1
-    scale = ctx.int_powers(length)[length]
-    tables = {heavy: _block_words(ctx, length, heavy) for heavy in "01"}
+    sd, se = ctx.int_powers(length)[length]
+    tables = [_block_words(ctx, length, heavy) for heavy in "01"]
+    exp = min(t[2] for t in tables)
+    ends = (*iv.window.ends, to_pair(iv.pivot, prec))
 
     def extend_stage(parents):
-        stage = []
-        least = greatest = None
-        for prefix_word, o in parents:
-            if not window.contains_pair(o):
-                with workprec(prec):
-                    raise InvalidPoint(
-                        f"orbit {from_pair(o)} outside steering interval [{iv.lo}, {iv.hi}]")
-            words, offsets, exp, i_min, i_max = tables[
-                "1" if compare_pairs(o, pivot) >= 0 else "0"]
-            bd, be = pair_product(scale, o, prec)
-            c = min(be, exp)  # base + q is exact at 2^c
-            bd <<= be - c
-            shift = exp - c
-            landings = []
-            for q in offsets:
-                d = (q << shift) + bd
-                n = d.bit_length() - prec
-                if n > 0 and d > 0:
-                    landings.append(((d + (1 << (n - 1)) - 1 + (d >> n & 1)) >> n, c + n))
-                else:
-                    landings.append(round_nearest_even(d, c, prec))
-            lo, hi = landings[i_min], landings[i_max]
-            if not (window.contains_pair(lo) and window.contains_pair(hi)):
-                block, v = next((b, v) for b, v in zip(words, landings)
-                                if not window.contains_pair(v))
-                with workprec(prec):
-                    raise ContainmentViolation(
-                        f"block {block} (after {prefix_word!r}) leaves the steering "
-                        f"interval: value {from_pair(v)} not in [{iv.lo}, {iv.hi}] "
-                        f"at beta={ctx.beta}")
-            stage += zip(map(prefix_word.__add__, words), landings)
-            if least is None or compare_pairs(lo, least) < 0:
-                least = lo
-            if greatest is None or compare_pairs(hi, greatest) > 0:
-                greatest = hi
-        return stage, least, greatest
+        c = min(exp, min(se, 0) + min((e for _, (d, e) in parents if d), default=exp))
+        lo, hi, pivot = (_at_scale(x, c, up) for x, up in zip(ends, (True, False, True)))
+        blocks = [(ws, [q << (e - c) for q in qs]) for ws, qs, e in tables]
+        words, ys = [], []
+        for (w, (d, e)), v in zip(parents, _parents_at(ctx, iv, c, lo, hi, parents)):
+            block, offsets = blocks[v >= pivot]
+            words += map(w.__add__, block)
+            ys += map(_round_at(sd * d, se + e, prec, c).__add__, offsets)
+        return _land(ctx, iv, c, lo, hi, words, ys, length)
     return extend_stage
-
-
-@functools.lru_cache(maxsize=64)
-def _all_words(length: int) -> tuple:
-    """Every word of the given length; word i has the bits of the int i."""
-    return tuple("".join(bits) for bits in itertools.product("01", repeat=length))
 
 
 @_per_base
@@ -518,6 +482,48 @@ def _round_at(d: int, e: int, precision_bits: int, c: int) -> int:
     return d << (e - c) if d else 0
 
 
+def _parents_at(ctx: BetaContext, iv, c: int, lo: int, hi: int, parents) -> list:
+    """The parent check of both stage loops: each parent's orbit as an int
+    at 2^c, rounded down if finer (which keeps it exact against ``lo``); the
+    first outside [lo, hi], the window's widened ends at 2^c, is named."""
+    vs = [d << (e - c) if e >= c else d >> (c - e) for _, (d, e) in parents]
+    if min(vs) < lo or max(vs) > hi:
+        o = next(o for (_, o), v in zip(parents, vs) if not lo <= v <= hi)
+        with workprec(ctx.precision_bits):
+            raise InvalidPoint(
+                f"orbit {from_pair(o)} outside steering interval [{iv.lo}, {iv.hi}]")
+    return vs
+
+
+def _land(ctx: BetaContext, iv, c: int, lo: int, hi: int, words, ys, length: int) -> tuple:
+    """The landing step of both stage loops: (stage, least, greatest) from
+    the words and exact landings ``ys`` (ints at 2^c) of a stage, each y
+    rounded once by :func:`round_nearest_even` (inline for y > 0).  Rounding
+    is monotone: the extremes are those of the least and the greatest y, and
+    all lie in [lo, hi] when these do; else the first word whose block (its
+    last ``length`` digits) leaves the window is named."""
+    prec = ctx.precision_bits
+    pairs = []
+    append = pairs.append
+    for y in ys:
+        n = y.bit_length() - prec
+        if n <= 0:  # exact
+            append((y, c))
+        elif y > 0:
+            append(((y + (1 << (n - 1)) - 1 + (y >> n & 1)) >> n, c + n))
+        else:
+            append(round_nearest_even(y, c, prec))
+    least, greatest = pairs[ys.index(min(ys))], pairs[ys.index(max(ys))]
+    if _at_scale(least, c) < lo or _at_scale(greatest, c) > hi:
+        i = next(i for i, p in enumerate(pairs) if not lo <= _at_scale(p, c) <= hi)
+        with workprec(prec):
+            raise ContainmentViolation(
+                f"block {words[i][-length:]} (after {words[i][:-length]!r}) leaves the "
+                f"steering interval: value {from_pair(pairs[i])} not in "
+                f"[{iv.lo}, {iv.hi}] at beta={ctx.beta}")
+    return tuple(zip(words, pairs)), least, greatest
+
+
 def _pair_extender(ctx: BetaContext, m: int):
     """``extend_stage(parents)`` for steered-pair mode: from a stage's
     (word, orbit pair) parents the next stage, two (word, landing pair)
@@ -527,13 +533,13 @@ def _pair_extender(ctx: BetaContext, m: int):
     digits 0 and 1, each followed by the steering word of the remaining
     length that lands back in the steering interval.  One loop runs the
     stage on ints at the run scale of :func:`_pair_scale`, where every
-    value kept is
-    exact and each containment test, climb test and extreme is an int
-    comparison.  Each product and sum is rounded once, to nearest even at
-    the precision, in the mpf operators' order: the climb's beta * v (and
-    - 1 above the core), the branch digits from one product beta * v, and
-    beta^L * v plus the offset that :func:`_steer_run` picks against the
-    window's rounding thresholds, so only the chosen landing is rounded."""
+    value kept is exact and each containment test, climb test and extreme
+    is an int comparison.  Each product and sum is rounded once, to nearest
+    even at the precision, in the mpf operators' order: the climb's beta * v
+    (and - 1 above the core), the branch digits from one product beta * v,
+    and beta^L * v plus the offset that :func:`_steer_run` picks against the
+    window's rounding thresholds, so only the chosen landing is rounded, by
+    :func:`_land`."""
     _require_pair_mode(ctx, m)
     iv = pair_steering_interval(ctx)
     prec = ctx.precision_bits
@@ -544,15 +550,8 @@ def _pair_extender(ctx: BetaContext, m: int):
     tables = [None] * (m + 2)  # steering table per length
 
     def extend_stage(parents):
-        stage = []
-        least, greatest = hi + 1, lo - 1
-        for w, o in parents:
-            d, e = o
-            v = d << (e - c) if e >= c else d >> (c - e)
-            if not lo <= v <= hi:
-                with workprec(prec):
-                    raise InvalidPoint(
-                        f"orbit {from_pair(o)} outside steering interval [{iv.lo}, {iv.hi}]")
+        words, ys = [], []
+        for (w, _), v in zip(parents, _parents_at(ctx, iv, c, lo, hi, parents)):
             forced = ""
             up = v < core_lo
             while v < core_lo if up else v > core_hi:
@@ -569,7 +568,7 @@ def _pair_extender(ctx: BetaContext, m: int):
             if k:
                 if tables[k] is None:
                     tables[k] = (*_pair_steering(ctx, k, c), _all_words(k), *powers[k])
-                offsets, order, by_word, words, sd, se = tables[k]
+                offsets, order, by_word, steers, sd, se = tables[k]
             vb = _round_at(bd * v, be + c, prec, c)
             for digit in "01":
                 if digit == "1":
@@ -587,7 +586,7 @@ def _pair_extender(ctx: BetaContext, m: int):
                             raise NoSteeringWord(
                                 f"no word of length {k} steers {from_pair((vb, c))} "
                                 f"back into [{iv.lo}, {iv.hi}] at beta={ctx.beta}")
-                    y, steer = base + by_word[i], words[i]
+                    y, steer = base + by_word[i], steers[i]
                 elif lo <= vb <= hi:
                     y, steer = vb, ""
                 else:
@@ -595,21 +594,9 @@ def _pair_extender(ctx: BetaContext, m: int):
                         raise NoSteeringWord(
                             f"value {from_pair((vb, c))} not in steering interval and "
                             "no steering steps left")
-                n = y.bit_length() - prec
-                if n <= 0:  # exact
-                    pair = y, c
-                elif y > 0:
-                    r = (y + (1 << (n - 1)) - 1 + (y >> n & 1)) >> n
-                    pair, y = (r, c + n), r << n
-                else:
-                    pair = round_nearest_even(y, c, prec)
-                    y = pair[0] << (pair[1] - c)
-                stage.append((w + forced + digit + steer, pair))
-                if y < least:
-                    least, least_pair = y, pair
-                if y > greatest:
-                    greatest, greatest_pair = y, pair
-        return stage, least_pair, greatest_pair
+                words.append(w + forced + digit + steer)
+                ys.append(y)
+        return _land(ctx, iv, c, lo, hi, words, ys, m + 2)
     return extend_stage
 
 
@@ -684,7 +671,7 @@ def _run_generator(ctx: BetaContext, mode: str, m: int, x, num_blocks: int,
         if len(nxt) != expected:
             raise ContainmentViolation(
                 f"stage {s} produced {len(nxt)} words, expected {expected}")
-        stages.append(tuple(nxt))
+        stages.append(nxt)
         extremes.append((least, greatest))
     return GeneratorRun(mode=mode, m=m, x=x, entry_word=entry,
                         entry_steps=steps, block_length=block_length,

@@ -66,10 +66,17 @@ class GrowthEstimate:
     upper_slope: float
 
 
-def _require_in_base_interval(ctx: BetaContext, x):
-    if not ctx.in_base_interval(x):
-        raise InvalidPoint(
-            f"x={x} outside [0, 1/(beta-1)] beyond tolerance")
+def _require_in_base_interval(ctx: BetaContext, x) -> tuple:
+    """x at the context precision as a pair; InvalidPoint unless it lies in
+    the admissible interval widened by the tolerance."""
+    try:
+        xp = to_pair(x, ctx.precision_bits)
+    except ValueError:
+        raise InvalidPoint(f"x={x} is not a finite point") from None
+    if not ctx.base.contains_pair(xp):
+        with workprec(ctx.precision_bits):
+            raise InvalidPoint(f"x={from_pair(xp)} outside [0, 1/(beta-1)] beyond tolerance")
+    return xp
 
 
 def enumerate_prefixes_branching(ctx: BetaContext, x, k: int,
@@ -87,10 +94,7 @@ def enumerate_prefixes_branching(ctx: BetaContext, x, k: int,
     if k < 0:
         raise ValueError("k must be nonnegative")
     prec = ctx.precision_bits
-    with workprec(prec):
-        x = mpf(x)
-        _require_in_base_interval(ctx, x)
-    base, xp = ctx.base, to_pair(x, prec)
+    base, xp = ctx.base, _require_in_base_interval(ctx, x)
     frontier = [("", xp)]
     for level in range(1, k + 1):
         nxt = []
@@ -213,8 +217,7 @@ def count_prefixes_window(ctx: BetaContext, x, k: int) -> int:
         raise MemoryGuard(f"window count k={k} above cap {WINDOW_K_CAP}")
     beta = float(ctx.beta)
     xf = float(x)
-    with workprec(ctx.precision_bits):
-        _require_in_base_interval(ctx, mpf(x))
+    _require_in_base_interval(ctx, x)
     if k == 0:
         return 1
     width = beta ** -k / (beta - 1.0)

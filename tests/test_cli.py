@@ -240,6 +240,18 @@ class TestGenerate:
         else:
             assert "stage 1: 16 words" in out
 
+    @pytest.mark.parametrize("x, tolerance, margin", [
+        ("1e-20", [], "5.42e-20"), ("0.5", ["--tolerance", "5"], "5.0")])
+    def test_points_within_the_tolerance_of_0(self, capsys, x, tolerance, margin):
+        # far below 1/(beta-1) = 13.4 but not above the tolerance: the message
+        # names the lower margin as well as the upper one
+        code, _, err = run_cli(capsys, "generate", "omega:1", x, "1", "1", *tolerance)
+        assert code == 2
+        diag = json.loads(err)
+        assert diag["error"] == "InvalidPoint"
+        assert f"more than {margin} above 0 and more than" in diag["message"]
+        assert "below 1/(beta-1)" in diag["message"]
+
     def test_records(self, capsys):
         code, out, _ = run_cli(capsys, "generate", "1.05", "11.0", "1", "2",
                                "--format", "records")

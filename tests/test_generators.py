@@ -7,6 +7,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import frexp, mp, mpf, workprec
 from mpmath.libmp import from_man_exp, mpf_add, mpf_pos, round_nearest
 
@@ -691,6 +693,51 @@ def test_steer_thresholds_settle_ties_at_either_end(precision, rng):
     assert all(ties.values()), ties  # ties onto and off each kind of end
 
 
+@st.composite
+def _landings(draw):
+    """(precision, c, ys): ints of both signs, each a head of up to
+    precision bits followed by n more bits, the tail 0 (exact), exactly
+    half (a tie), one off half, or any; heads of all ones carry into a new
+    bit when they round up."""
+    precision = draw(st.sampled_from([53, 128]))
+    ys = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(0, 70))
+        head = draw(st.one_of(st.integers(0, (1 << precision) - 1),
+                              st.sampled_from([(1 << precision) - 1, 1 << (precision - 1)])))
+        half = 1 << n >> 1
+        tail = draw(st.sampled_from([0, half, half + 1, max(half - 1, 0)])
+                    | st.integers(0, max((1 << n) - 1, 0)))
+        y = (head << n) + (tail if n else 0)
+        ys.append(draw(st.sampled_from([y, -y])))
+    return precision, draw(st.integers(-300, 100)), ys
+
+
+@settings(max_examples=400, deadline=None)
+@given(_landings())
+def test_landing_rounds_as_round_nearest_even(landings):
+    # the landing step of both stage loops and the rounding of products
+    # inside them, against numeric.round_nearest_even: each pair, its int at
+    # the scale 2^c, the extremes and the containment test on those ints
+    precision, c, ys = landings
+    ctx = BetaContext("1.05", precision_bits=precision)
+    iv = block_steering_interval(ctx, 1)
+    want = [round_nearest_even(y, c, precision) for y in ys]
+    at_c = [d << (e - c) if d else 0 for d, e in want]
+    assert all(e >= c for d, e in want if d)
+    assert [_exact(p) for p in want] == [_exact((y, c)) for y in at_c]
+    assert [gn._round_at(y, c, precision, c) for y in ys] == at_c
+    words = [f"{i:03b}" for i in range(len(ys))]
+    stage, least, greatest = gn._land(ctx, iv, c, min(at_c), max(at_c), words, ys, 3)
+    assert list(stage) == list(zip(words, want))
+    assert (_exact(least), _exact(greatest)) == (_exact(min(want, key=_exact)),
+                                                 _exact(max(want, key=_exact)))
+    for lo, hi in ((min(at_c) + 1, max(at_c)), (min(at_c), max(at_c) - 1)):
+        first = next(i for i, y in enumerate(at_c) if not lo <= y <= hi)
+        with pytest.raises(ContainmentViolation, match=f"block {words[first]} "):
+            gn._land(ctx, iv, c, lo, hi, words, ys, 3)
+
+
 def _forced_prefix(w0, w1):
     out = []
     for a, b in zip(w0, w1):
@@ -745,9 +792,10 @@ class TestGeneratorRuns:
         assert sum(counts[1].values()) <= 10
 
     def test_pair_stages_make_no_pair_comparisons(self, monkeypatch):
-        # the steered-pair stage loop compares ints at its run scale and
-        # rounds inline: neither count grows with the stages
-        calls = {"compare_pairs": 0, "round_nearest_even": 0}
+        # both stage loops compare ints at their scale and round inline: no
+        # count of pair arithmetic or comparison grows with the stages
+        calls = {"compare_pairs": 0, "round_nearest_even": 0, "pair_product": 0,
+                 "contains_pair": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -757,16 +805,20 @@ class TestGeneratorRuns:
 
         for module in (numeric, gn):
             for name in calls:
-                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        ctx = BetaContext(lambda_threshold(4))
-        counts = []
-        # the first run builds the tables, the second leaves its entry in
-        # the prefix memo of apply_word_pair for the others
-        for n in (8, 8, 6, 8):
-            before = dict(calls)
-            run_generator_s3(ctx, 4, 1.0, n)
-            counts.append({k: calls[k] - before[k] for k in calls})
-        assert counts[2] == counts[3]
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        monkeypatch.setattr(numeric.Window, "contains_pair",
+                            counting("contains_pair", numeric.Window.contains_pair))
+        for ctx, m, run_fn, blocks in ((BetaContext(omega_threshold(1)), 1, run_generator_m, 5),
+                                       (BetaContext(lambda_threshold(4)), 4, run_generator_s3, 8)):
+            counts = []
+            # the first run builds the tables, the second leaves its entry in
+            # the prefix memo of apply_word_pair for the others
+            for n in (blocks, blocks, blocks - 2, blocks):
+                before = dict(calls)
+                run_fn(ctx, m, 1.0, n)
+                counts.append({k: calls[k] - before[k] for k in calls})
+            assert counts[2] == counts[3]
 
     def test_majority_counts(self):
         ctx = BetaContext(_beta_below_omega(1))
@@ -925,7 +977,8 @@ def _ref_extend_m(ctx, m, prefix_word, orbit):
         heavy = "1" if orbit >= iv.pivot else "0"
         scale = ctx.power(length)
         out = []
-        for block in gn._majority_words(length, heavy):
+        blocks = ("".join(bits) for bits in itertools.product("01", repeat=length))
+        for block in (b for b in blocks if b.count(heavy) > m):
             v = scale * orbit + apply_word(ctx, block, 0)
             if not iv.window.contains(v):
                 raise ContainmentViolation(
@@ -1021,7 +1074,7 @@ _BIT_TOLERANCES = [0, None, "1e-30"]
 def test_raw_loops_are_bit_identical_to_mpf_operators(precision, tolerance, rng):
     # mid-range bases and bases just below the thresholds (floats, so every
     # precision holds them exactly)
-    cases = [(gn.MODE_MAJORITY, m, _beta_below_omega(m, f)) for m in (1, 2)
+    cases = [(gn.MODE_MAJORITY, m, _beta_below_omega(m, f)) for m in (1, 2, 3)
              for f in (0.5, 0.9999)]
     cases += [(gn.MODE_STEERED_PAIR, m, _beta_below_lambda(m, f)) for m in (1, 2, 3, 4, 5)
               for f in (0.5, 0.9999)]
@@ -1053,7 +1106,7 @@ def test_raw_loops_are_bit_identical_to_mpf_operators(precision, tolerance, rng)
                         == (want and (want[0], want[1]._mpf_)))
         # whole runs, extremes included
         run_fn = run_generator_m if mode == gn.MODE_MAJORITY else run_generator_s3
-        blocks = {gn.MODE_MAJORITY: 3 - m, gn.MODE_STEERED_PAIR: 4}[mode]
+        blocks = {gn.MODE_MAJORITY: max(3 - m, 1), gn.MODE_STEERED_PAIR: 4}[mode]
         for x in (1.0, ctx.core_lo, ctx.one_over_beta_minus_one * mpf("0.93")):
             got = _outcome(run_fn, ctx, m, x, blocks)
             want = _outcome(_ref_stages, ctx, mode, m, x, blocks)
@@ -1147,6 +1200,88 @@ def test_tolerance_past_the_pair_intervals_lower_end(precision, widen, rng):
                         == [(lo._mpf_, hi._mpf_) for lo, hi in extremes])
     # the zero, tiny and negative orbits were extended or refused alike
     assert {"ok", ContainmentViolation, NoSteeringWord} <= outcomes
+
+
+@pytest.mark.parametrize("precision", [53, 128])
+def test_tolerance_past_the_block_windows_lower_end(precision, rng):
+    # A tolerance above the block interval's lower end puts the window's
+    # lower end below 0: a parent can then be 0, negative or tiny, and its
+    # exponent sets the stage scale of gn._block_extender far below the
+    # others.  Orbits next to 1/beta^(2m+1) land within a few ulps of 0 by
+    # the block 0^(2m)1, and runs start a few ulps above the tolerance (the
+    # least start allowed).  Both must give the results and errors of the
+    # mpf operators.
+    outcomes, smallest = set(), mpf(1)
+    for m in (1, 2):
+        for f in (0.5, 0.9999):
+            beta = _beta_below_omega(m, f)
+            exact = block_steering_interval(
+                BetaContext(beta, precision_bits=precision, comparison_tolerance=0), m)
+            with workprec(precision):
+                tolerance = exact.lo * mpf("1.1")
+            ctx = BetaContext(beta, precision_bits=precision,
+                              comparison_tolerance=tolerance)
+            iv = block_steering_interval(ctx, m)
+            assert iv.window.lo_w < 0
+            with workprec(precision):
+                ulps = lambda v, ks: [v + k * mpf(2) ** (frexp(v)[1] - precision)  # noqa: E731
+                                      for k in ks]
+                orbits = [iv.lo, iv.hi, iv.window.lo_w, mpf(0), mpf(2) ** -200,
+                          -mpf(2) ** -100, *ulps(iv.pivot, (-1, 0, 1)),
+                          *ulps(1 / ctx.power(2 * m + 1), range(-3, 4))]
+                orbits += [iv.lo + mpf(rng.random()) * (iv.hi - iv.lo) for _ in range(6)]
+                starts = ulps(ctx.comparison_tolerance, range(1, 4))
+            for orbit in orbits:
+                got = _outcome(extend_m, ctx, m, "01", orbit)
+                assert _bits(got) == _bits(_outcome(_ref_extend_m, ctx, m, "01", orbit))
+                if isinstance(got, list):
+                    smallest = min([smallest, *(abs(v) for _, v in got)])
+                outcomes.add(got[0] if isinstance(got, tuple) else "ok")
+            for x in (1.0, *starts):
+                got = _outcome(run_generator_m, ctx, m, x, 2)
+                want = _outcome(_ref_stages, ctx, gn.MODE_MAJORITY, m, x, 2)
+                if isinstance(want, tuple) and isinstance(want[0], type):
+                    assert got == want
+                    continue
+                stages, extremes = want
+                assert ([_bits(got.stage_values(s)) for s in range(len(got.stages))]
+                        == [_bits(st) for st in stages])
+                assert ([(from_pair(lo)._mpf_, from_pair(hi)._mpf_)
+                         for lo, hi in got.extremes]
+                        == [(lo._mpf_, hi._mpf_) for lo, hi in extremes])
+                outcomes.add("run")
+    assert {"ok", "run", ContainmentViolation} <= outcomes
+    assert smallest < mpf(2) ** (4 - precision)  # some landing was within a few ulps of 0
+
+
+@pytest.mark.parametrize("precision", [53, 128])
+@pytest.mark.parametrize("beta", ["1.0625", "1.03125"])
+@pytest.mark.parametrize("end", ["lo", "hi"])
+def test_block_window_ends_finer_than_the_stage_scale(end, beta, precision):
+    # For a base a/2^j, beta^(2m+1) is exact at 2^-(2m+1)j, so the stage
+    # scale of gn._block_extender lies only (2m+1)j bits below a parent
+    # 2^T.  A tolerance puts the widened end one ulp inside 2^T, finer than
+    # that scale: only the end's rounding (the lower end up, the upper end
+    # down) keeps the parent 2^T out, as the mpf operators do.
+    m = 1
+    iv0 = block_steering_interval(
+        BetaContext(beta, precision_bits=precision, comparison_tolerance=0), m)
+    with workprec(4 * precision):
+        if end == "lo":
+            t = int(mp.floor(mp.log(iv0.lo, 2)))
+            target = mpf(2) ** t * (1 + mpf(2) ** (1 - precision))
+            tolerance = iv0.lo - target
+        else:
+            t = int(mp.ceil(mp.log(iv0.hi, 2)))
+            target = mpf(2) ** t * (1 - mpf(2) ** -precision)
+            tolerance = target - iv0.hi
+    ctx = BetaContext(beta, precision_bits=precision, comparison_tolerance=tolerance)
+    window = block_steering_interval(ctx, m).window
+    assert (window.lo_w if end == "lo" else window.hi_w) == target
+    for orbit in (mpf(2) ** t, target):
+        got = _outcome(extend_m, ctx, m, "01", orbit)
+        assert _bits(got) == _bits(_outcome(_ref_extend_m, ctx, m, "01", orbit))
+    assert _outcome(extend_m, ctx, m, "01", mpf(2) ** t)[0] is InvalidPoint
 
 
 # ------------------------------------------------------- shared tables

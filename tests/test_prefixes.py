@@ -152,8 +152,9 @@ class TestGuards:
             past = mpf("2.00000000000000001")
         for count in (enumerate_prefixes_branching, enumerate_prefixes_direct,
                       count_prefixes_window):
-            with pytest.raises(InvalidPoint):
-                count(ctx15, past, 8)
+            for x in (past, mpf("inf"), mpf("nan")):
+                with pytest.raises(InvalidPoint):
+                    count(ctx15, x, 8)
 
     def test_direct_cap(self, ctx15):
         with pytest.raises(CapExceeded):
